@@ -9,7 +9,6 @@ coefficients in exact rational arithmetic.
 
 from .hypergraph import (
     MultiHypergraph,
-    SimpleHypergraph,
     components,
     flatten,
     is_veblen,
@@ -39,7 +38,7 @@ from .traces import (
     trace_d,
     trace_vector,
 )
-from .simplex import SimplexCoefficientReport, asymptotic_report, simplex_Ck
+from .simplex import SimplexCoefficientReport, simplex_Ck
 from .classical import (
     ElementarySubgraph,
     ThresholdReport,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiHypergraph",
-    "SimpleHypergraph",
     "flatten",
     "components",
     "is_veblen",
@@ -94,7 +92,6 @@ __all__ = [
     "codegree_coefficients",
     "SimplexCoefficientReport",
     "simplex_Ck",
-    "asymptotic_report",
     "ElementarySubgraph",
     "ThresholdReport",
     "charpoly_graph",

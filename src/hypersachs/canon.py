@@ -12,7 +12,6 @@ attain the minimum, which equals |Aut(H)| by orbit-stabilizer.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 
 from .errors import SizeExceeded
@@ -169,7 +168,6 @@ def canonical_form(H: MultiHypergraph) -> CanonicalCode:
 
 
 _aut_memo: dict[CanonicalCode, AutReport] = {}
-_memo_lock = threading.RLock()
 
 
 def automorphisms(H: MultiHypergraph) -> AutReport:
@@ -179,31 +177,29 @@ def automorphisms(H: MultiHypergraph) -> AutReport:
     integer by orbit-stabilizer, asserted) and multiplied across components.
     """
     code, aut = canon_and_aut(H)
-    with _memo_lock:
-        hit = _aut_memo.get(code)
-        if hit is not None:
-            return hit
-        _, flat_aut = canon_and_aut(flatten(H))
-        if not H.edges:
-            pairs = []
-        elif is_connected(H):
-            pairs = [(flat_aut, aut)]
-        else:
-            pairs = []
-            for comp in components(H):
-                _, a = canon_and_aut(comp)
-                _, fa = canon_and_aut(flatten(comp))
-                pairs.append((fa, a))
-        ratio = 1
-        for fa, a in pairs:
-            q, r = divmod(fa, a)
-            assert r == 0 and q >= 1, "flat automorphism count must be a multiple"
-            ratio *= q
-        report = AutReport(aut_count=aut, flat_aut_count=flat_aut, ratio=ratio)
-        _aut_memo[code] = report
-        return report
+    hit = _aut_memo.get(code)
+    if hit is not None:
+        return hit
+    _, flat_aut = canon_and_aut(flatten(H))
+    if not H.edges:
+        pairs = []
+    elif is_connected(H):
+        pairs = [(flat_aut, aut)]
+    else:
+        pairs = []
+        for comp in components(H):
+            _, a = canon_and_aut(comp)
+            _, fa = canon_and_aut(flatten(comp))
+            pairs.append((fa, a))
+    ratio = 1
+    for fa, a in pairs:
+        q, r = divmod(fa, a)
+        assert r == 0 and q >= 1, "flat automorphism count must be a multiple"
+        ratio *= q
+    report = AutReport(aut_count=aut, flat_aut_count=flat_aut, ratio=ratio)
+    _aut_memo[code] = report
+    return report
 
 
 def clear_caches() -> None:
-    with _memo_lock:
-        _aut_memo.clear()
+    _aut_memo.clear()

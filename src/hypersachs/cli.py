@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .canon import automorphisms
@@ -94,7 +93,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-n", type=int, default=5)
     sp.add_argument("--random-graphs", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=_cmd_classical_check)
 
     sp = sub.add_parser("threshold", help="last nonzero codegree up to a bound")
@@ -113,7 +111,6 @@ def _build_parser() -> _Parser:
         help="export every size 1..D instead of a single --d",
     )
     sp.add_argument("--output", default="-")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=_cmd_atlas_export)
 
     return p
@@ -141,24 +138,11 @@ def _edges_str(H: MultiHypergraph) -> str:
     return "; ".join(parts)
 
 
-def _atlas_lines(k: int, d: int, with_coeffs: bool, jobs: int = 1) -> list[str]:
-    records = enumerate_connected_veblen(k, d, with_coeffs=False)
-    if with_coeffs and records:
-        from .rooting import assoc_coeff_connected
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                coeffs = list(
-                    pool.map(lambda r: assoc_coeff_connected(r.representative), records)
-                )
-        else:
-            coeffs = [assoc_coeff_connected(r.representative) for r in records]
-    else:
-        coeffs = [None] * len(records)
+def _atlas_lines(k: int, d: int, with_coeffs: bool) -> list[str]:
     lines = []
-    for rec, c in zip(records, coeffs):
+    for rec in enumerate_connected_veblen(k, d, with_coeffs=with_coeffs):
         aut = automorphisms(rec.representative).aut_count
-        value = rational_str(c) if c is not None else "-"
+        value = rational_str(rec.assoc_coeff) if with_coeffs else "-"
         lines.append(
             f"{rec.code.hexdigest()}\t{d}\t{_edges_str(rec.representative)}"
             f"\t{value}\t{aut}"
@@ -282,11 +266,7 @@ def _cmd_classical_check(args) -> int:
         pairs = list(combinations(range(1, n + 1), 2))
         edges = [e for e in pairs if rng.random() < 0.5]
         hosts.append(MultiHypergraph.build(2, n, edges))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            failures = [f for f in pool.map(_check_one_graph, hosts) if f]
-    else:
-        failures = [f for f in map(_check_one_graph, hosts) if f]
+    failures = [f for f in map(_check_one_graph, hosts) if f]
     if failures:
         for f in failures:
             print(f"mismatch: {f}", file=sys.stderr)
@@ -328,7 +308,7 @@ def _cmd_atlas_export(args) -> int:
     sizes = [args.d] if args.d is not None else list(range(1, args.max_codegree + 1))
     lines = []
     for d in sizes:
-        lines.extend(_atlas_lines(args.k, d, with_coeffs=True, jobs=args.jobs))
+        lines.extend(_atlas_lines(args.k, d, with_coeffs=True))
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.output == "-":
         sys.stdout.write(text)

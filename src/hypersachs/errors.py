@@ -30,7 +30,7 @@ class NormalizationFailure(HypersachsError):
 
 
 class ConsistencyFailure(HypersachsError):
-    """Two independent computation paths disagreed; signals an implementation bug."""
+    """Two computations of the same quantity disagreed; signals an implementation bug."""
 
 
 class ParseError(HypersachsError):

@@ -113,11 +113,6 @@ class MultiHypergraph:
         return MultiHypergraph(self.k, self.n, tuple(edges))
 
 
-# Simple hypergraphs (all multiplicities 1) share the representation; use
-# `is_simple` / `require_simple` where the distinction matters.
-SimpleHypergraph = MultiHypergraph
-
-
 def require_simple(H: MultiHypergraph) -> None:
     if not H.is_simple:
         raise DomainError("operation requires a simple hypergraph (all multiplicities 1)")

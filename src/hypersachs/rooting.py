@@ -14,7 +14,6 @@ same digraph; orientations are deduplicated and carry that multiplicity.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -23,15 +22,6 @@ from .canon import CanonicalCode, canonical_form
 from .digraph import MultiDigraph, arborescence_count, is_eulerian
 from .errors import NotConnected, NotVeblen
 from .hypergraph import MultiHypergraph, components, is_connected, is_veblen
-
-
-@dataclass(frozen=True)
-class RootAssignment:
-    """Per-edge root counts: counts[i][j] copies of edge i rooted at its j-th
-    vertex (aligned with H.edges); root_quota[v] = deg(v)/k."""
-
-    counts: tuple[tuple[int, ...], ...]
-    root_quota: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -161,7 +151,6 @@ def assoc_coeff_connected(H: MultiHypergraph) -> Fraction:
 
 
 _coeff_memo: dict[CanonicalCode, Fraction] = {}
-_memo_lock = threading.RLock()
 
 
 def assoc_coeff(H: MultiHypergraph) -> Fraction:
@@ -172,15 +161,13 @@ def assoc_coeff(H: MultiHypergraph) -> Fraction:
     result = Fraction(1)
     for comp in components(H):
         code = canonical_form(comp)
-        with _memo_lock:
-            value = _coeff_memo.get(code)
-            if value is None:
-                value = assoc_coeff_connected(comp)
-                _coeff_memo[code] = value
+        value = _coeff_memo.get(code)
+        if value is None:
+            value = assoc_coeff_connected(comp)
+            _coeff_memo[code] = value
         result *= value
     return result
 
 
 def clear_caches() -> None:
-    with _memo_lock:
-        _coeff_memo.clear()
+    _coeff_memo.clear()

@@ -133,25 +133,6 @@ def _ratio_string(num: int, den: int) -> str:
         return str(Decimal(num) / Decimal(den))
 
 
-def asymptotic_report(k: int) -> str:
-    """Exact ratio C_k / ((k+1)! * k^(k+1)) rendered to 12 significant decimal
-    digits; the only decimal-style output in the package."""
-    if k < 2:
-        raise DomainError("k must be >= 2")
-    C_k = _compute_Ck(k)
-    return _ratio_string(C_k, factorial(k + 1) * k ** (k + 1))
-
-
-def _compute_Ck(k: int) -> int:
-    S = _derangement_cycle_sum(k)
-    C_k, rem = divmod(S, (k - 1) * (k + 1) ** 2)
-    if rem != 0:
-        raise NormalizationFailure(
-            f"derangement sum {S} is not divisible by (k-1)(k+1)^2 at k={k}"
-        )
-    return C_k
-
-
 def simplex_Ck(k: int) -> SimplexCoefficientReport:
     """Full report for the simplex constant C_k, 2 <= k <= 1000.
 

@@ -1,13 +1,12 @@
 """Spectral power sums and characteristic-polynomial coefficients of uniform
 hypergraphs, all in exact rational arithmetic.
 
-Two independent assembly routes are computed and compared:
-
-* the trace route: power sums of order d come from connected class data
-  (coefficient times labeled count), and Newton's identities turn power sums
-  into polynomial coefficients;
-* the direct route: the exponential formula over connected classes produces
-  each coefficient as a sum over multisets of components.
+`codegree_coefficients` has one assembly route.  Every connected class
+realized in the host contributes the additive term -(k-1)^n * weight *
+labeled count at its edge count; summing those terms per edge count gives
+-Tr_d/d, and Newton's identities (`schur_P`) turn them into polynomial
+coefficients.  `trace_d` evaluates Tr_d from the same class data, so it is no
+certificate of the class weights.
 
 `trace_bruteforce` is a from-scratch oracle for the power sums: it expands the
 defining operator formula into pointed closed walks on the host and weighs
@@ -192,34 +191,14 @@ def schur_P(d: int, ts) -> Fraction:
 
 def _class_terms(host: MultiHypergraph, max_d: int):
     """(edge count, code, representative, term value) for each connected class
-    realized in the host with at most max_d edges; the term is the class's
-    additive weight -(k-1)^n * coeff * count."""
+    realized in the host with at most max_d edges, in increasing edge count;
+    the term is the class's additive weight -(k-1)^n * coeff * count."""
     sign_scale = -(Fraction(host.k - 1) ** host.n)
     out = []
     for dd in range(1, max_d + 1):
         for rec in connected_infragraph_classes(host, dd, with_coeffs=True):
             out.append((dd, rec.code, rec.representative, sign_scale * rec.assoc_coeff * rec.labeled_count))
     return out
-
-
-def _direct_coefficients(host: MultiHypergraph, max_d: int) -> list[Fraction]:
-    """Exponential-formula assembly: coefficients of prod_G exp(x_G z^{d_G})
-    truncated at z^max_d."""
-    poly = [Fraction(0)] * (max_d + 1)
-    poly[0] = Fraction(1)
-    for dd, _code, _rep, x in _class_terms(host, max_d):
-        nxt = [Fraction(0)] * (max_d + 1)
-        for t in range(max_d + 1):
-            if poly[t] == 0:
-                continue
-            mu = 0
-            power = Fraction(1)
-            while t + dd * mu <= max_d:
-                nxt[t + dd * mu] += poly[t] * power / factorial(mu)
-                mu += 1
-                power *= x
-        poly = nxt
-    return poly
 
 
 def _disjoint_union(parts: list[MultiHypergraph]) -> MultiHypergraph:
@@ -233,10 +212,10 @@ def _disjoint_union(parts: list[MultiHypergraph]) -> MultiHypergraph:
     return MultiHypergraph.build(k, offset, edges)
 
 
-def _breakdown_for(host: MultiHypergraph, d: int) -> tuple[tuple[CanonicalCode, Fraction], ...]:
+def _breakdown_for(terms, d: int) -> tuple[tuple[CanonicalCode, Fraction], ...]:
     """Per-class contributions to c_d: one entry per Veblen class with d edges
-    realized in the host (components may repeat), summing to c_d."""
-    terms = _class_terms(host, d)
+    realized in the host (components may repeat), summing to c_d.  `terms`
+    are `_class_terms` of the host, in increasing edge count."""
     entries: list[tuple[CanonicalCode, Fraction]] = []
 
     def rec(idx: int, left: int, chosen: list[tuple[int, int]], weight: Fraction):
@@ -247,7 +226,7 @@ def _breakdown_for(host: MultiHypergraph, d: int) -> tuple[tuple[CanonicalCode, 
             code = canonical_form(_disjoint_union(parts))
             entries.append((code, weight))
             return
-        if idx == len(terms):
+        if idx == len(terms) or terms[idx][0] > left:
             return
         dd, _code, _rep, x = terms[idx]
         rec(idx + 1, left, chosen, weight)
@@ -274,33 +253,34 @@ def codegree_coefficients(
     """Coefficients c_0..c_max_codegree of the host's characteristic
     polynomial (c_d multiplies x^(t-d) with t the polynomial degree).
 
-    Both assembly routes are evaluated; disagreement raises
-    ConsistencyFailure and agreement returns the trace-route values.
+    The class terms are computed once; their per-edge-count sums feed
+    `schur_P`, and the optional breakdown splits each c_d over the same
+    terms.  A breakdown that does not sum to its coefficient raises
+    ConsistencyFailure.
     """
     require_simple(host)
     if max_codegree < 0:
         raise ValueError("max_codegree must be >= 0")
-    traces = [trace_d(host, j) for j in range(1, max_codegree + 1)]
-    ts = [-traces[j - 1] / j for j in range(1, max_codegree + 1)]
-    via_traces = [schur_P(dv, ts) for dv in range(max_codegree + 1)]
-    direct = _direct_coefficients(host, max_codegree)
-    for dv in range(max_codegree + 1):
-        if via_traces[dv] != direct[dv]:
-            raise ConsistencyFailure(
-                f"coefficient c_{dv} differs between assembly routes: "
-                f"{via_traces[dv]} (power sums) vs {direct[dv]} (direct)"
-            )
+    terms = _class_terms(host, max_codegree)
+    ts = [Fraction(0)] * max_codegree
+    for dd, _code, _rep, x in terms:
+        ts[dd - 1] += x
+    coefficients = tuple(schur_P(dv, ts) for dv in range(max_codegree + 1))
     breakdown = None
     if with_breakdown:
         breakdown = {
-            dv: _breakdown_for(host, dv) for dv in range(1, max_codegree + 1)
+            dv: _breakdown_for(terms, dv) for dv in range(1, max_codegree + 1)
         }
         for dv, entries in breakdown.items():
-            assert sum((val for _, val in entries), Fraction(0)) == via_traces[dv]
+            total = sum((val for _, val in entries), Fraction(0))
+            if total != coefficients[dv]:
+                raise ConsistencyFailure(
+                    f"breakdown of c_{dv} sums to {total}, not {coefficients[dv]}"
+                )
     return CoefficientTable(
         host=host,
         name=name,
         max_codegree=max_codegree,
-        coefficients=tuple(via_traces),
+        coefficients=coefficients,
         breakdown=breakdown,
     )

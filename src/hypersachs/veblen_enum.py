@@ -16,7 +16,6 @@ divided by the symmetry of repeated components, so they can be non-integral.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -78,7 +77,6 @@ def _sorted_records(by_code: dict, with_coeffs: bool) -> tuple[IsoClassRecord, .
 
 
 _free_memo: dict[tuple[int, int], dict] = {}
-_free_lock = threading.RLock()
 
 
 def enumerate_connected_veblen(
@@ -98,8 +96,7 @@ def enumerate_connected_veblen(
         )
     if d <= 0:
         return ()
-    with _free_lock:
-        cached = _free_memo.get((k, d))
+    cached = _free_memo.get((k, d))
     if cached is not None:
         records = _sorted_records(cached, with_coeffs)
         return tuple(
@@ -162,8 +159,7 @@ def enumerate_connected_veblen(
     rec(first, k, d - 1)
     seq.pop()
     deg.clear()
-    with _free_lock:
-        _free_memo[(k, d)] = by_code
+    _free_memo[(k, d)] = by_code
     records = _sorted_records(by_code, with_coeffs)
     # labeled_count is not meaningful outside a host
     return tuple(
@@ -209,12 +205,10 @@ def _compositions(total: int, parts: int):
 
 
 _infra_memo: dict[tuple[MultiHypergraph, int], dict] = {}
-_infra_lock = threading.RLock()
 
 
 def _infragraph_classes_raw(host: MultiHypergraph, d: int) -> dict:
-    with _infra_lock:
-        cached = _infra_memo.get((host, d))
+    cached = _infra_memo.get((host, d))
     if cached is not None:
         return cached
     edges = [e for e, _ in host.edges]
@@ -240,8 +234,7 @@ def _infragraph_classes_raw(host: MultiHypergraph, d: int) -> dict:
         if code not in by_code:
             by_code[code] = [rep, 0]
         by_code[code][1] += 1
-    with _infra_lock:
-        _infra_memo[(host, d)] = by_code
+    _infra_memo[(host, d)] = by_code
     return by_code
 
 
@@ -284,7 +277,5 @@ def count_infragraph(host: MultiHypergraph, H: MultiHypergraph) -> OccurrenceCou
 
 
 def clear_caches() -> None:
-    with _infra_lock:
-        _infra_memo.clear()
-    with _free_lock:
-        _free_memo.clear()
+    _infra_memo.clear()
+    _free_memo.clear()

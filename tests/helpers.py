@@ -215,3 +215,24 @@ def newton_coefficients(traces):
         acc = sum(traces[j - 1] * coeffs[d - j] for j in range(1, d + 1))
         coeffs.append(-Fraction(acc) / d)
     return coeffs
+
+
+def exponential_formula_coefficients(terms, max_d):
+    """Coefficients c_0..c_max_d of prod_G exp(x_G z^(d_G)), truncated at
+    z^max_d, for class terms given as (edge count d_G, additive weight x_G)
+    pairs.  This assembles the same class terms as the package's power-sum
+    route by a different arithmetic, so agreement checks the assembly only."""
+    poly = [Fraction(1)] + [Fraction(0)] * max_d
+    for dd, x in terms:
+        nxt = [Fraction(0)] * (max_d + 1)
+        for t in range(max_d + 1):
+            if poly[t] == 0:
+                continue
+            mu = 0
+            power = Fraction(1)
+            while t + dd * mu <= max_d:
+                nxt[t + dd * mu] += poly[t] * power / factorial(mu)
+                mu += 1
+                power *= x
+        poly = nxt
+    return poly

@@ -17,6 +17,7 @@ import pytest
 from helpers import (
     all_labeled_graphs,
     all_simple_3graphs,
+    exponential_formula_coefficients,
     newton_coefficients,
     random_3graph,
     random_graph,
@@ -45,7 +46,11 @@ from hypersachs.hypergraph import MultiHypergraph, veblen_partitions
 from hypersachs.rooting import assoc_coeff, assoc_coeff_connected, euler_orientations
 from hypersachs.simplex import simplex_Ck, simplex_orientation
 from hypersachs.traces import codegree_coefficients, schur_P, trace_bruteforce, trace_d
-from hypersachs.veblen_enum import count_all_veblen, enumerate_connected_veblen
+from hypersachs.veblen_enum import (
+    connected_infragraph_classes,
+    count_all_veblen,
+    enumerate_connected_veblen,
+)
 
 F = Fraction
 
@@ -55,8 +60,8 @@ HOSTS = {
     "F": fano_plane(),
 }
 
-# codegree rows 0..12 for the three hosts, cross-certified by the two
-# independent assembly routes
+# codegree rows 0..12 for the three hosts; criterion 5a checks the assembly
+# against the exponential formula and against walk-expansion traces
 ROWS_12 = {
     "R": [1, 0, 0, -240, 0, 0, 28320, 0, 0, -2190860, 0, 0, 125012034],
     "F1": [1, 0, 0, -288, 0, 0, 40788, 0, 0, -3788016, 0, 0, 259553826],
@@ -246,12 +251,19 @@ def test_criterion_5a_assembly_routes_agree():
     rng = random.Random(20260819)
     for _ in range(100):
         host = random_3graph(rng, rng.randint(3, 6), rng.uniform(0.15, 0.5))
-        # raises on internal route disagreement
-        table = codegree_coefficients(host, 7)
-        traces = [trace_d(host, j) for j in range(1, 8)]
-        ts = [F(-traces[j - 1], j) for j in range(1, 8)]
-        redone = tuple(schur_P(d, ts) for d in range(8))
-        assert redone == table.coefficients, host.edges
+        row = list(codegree_coefficients(host, 7).coefficients)
+        # the exponential formula over the package's own class terms checks
+        # the assembly arithmetic, not the enumeration or the weights
+        scale = -(F(host.k - 1) ** host.n)
+        terms = [
+            (d, scale * rec.assoc_coeff * rec.labeled_count)
+            for d in range(1, 8)
+            for rec in connected_infragraph_classes(host, d, with_coeffs=True)
+        ]
+        assert exponential_formula_coefficients(terms, 7) == row, host.edges
+        # Newton's identities over walk-expansion traces use no weights,
+        # enumeration or package assembly
+        assert newton_coefficients(walk_traces(host, 5)) == row[:6], host.edges
     elapsed = time.monotonic() - start
     print(f"CRITERION 5a: PASS ({elapsed:.1f}s)")
 
@@ -369,8 +381,7 @@ def test_criterion_8_unsplittable_host_and_orientation_bijection():
     print(f"CRITERION 8: PASS ({elapsed:.1f}s)")
 
 
-# regression pins past the required range: rows 13..15 of the plane family,
-# certified by the dual-route consistency check
+# regression pins past the required range: rows 13..15 of the plane family
 def test_regression_codegree_15_rows():
     expected = {
         "R": ROWS_12["R"] + [0, 0, -5612445168],

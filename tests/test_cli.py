@@ -125,13 +125,6 @@ def test_atlas_export_to_file(tmp_path, capsys):
     assert lines[0].split("\t")[3] == "27/16"
 
 
-def test_atlas_export_jobs_deterministic(capsys):
-    assert dispatch(["atlas-export", "--k", "3", "--d", "5"]) == 0
-    serial = capsys.readouterr().out
-    assert dispatch(["atlas-export", "--k", "3", "--d", "5", "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -140,6 +133,8 @@ def test_atlas_export_jobs_deterministic(capsys):
         ["atlas-export", "--k", "3", "--d", "5", "--max-codegree", "5"],
         ["atlas-export", "--k", "3"],
         ["coeffs", "--max-codegree", "3"],
+        ["atlas-export", "--k", "3", "--d", "5", "--jobs", "2"],
+        ["classical-check", "--jobs", "2"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -12,7 +12,6 @@ from hypersachs.linalg import charpoly_int
 from hypersachs.rooting import assoc_coeff_connected
 from hypersachs.simplex import (
     PartitionMin2,
-    asymptotic_report,
     cycle_factor,
     derangements_by_type,
     partitions_min2,
@@ -171,9 +170,8 @@ def test_monotone_growth():
 
 
 def test_asymptotic_ratio_strings():
-    assert asymptotic_report(5) == "0.00250933333333"
     assert simplex_Ck(5).asymptotic_ratio == "0.00250933333333"
-    assert asymptotic_report(100) == "3.64255405112E-7"
+    assert simplex_Ck(100).asymptotic_ratio == "3.64255405112E-7"
 
 
 def test_large_value_prefix():
@@ -185,5 +183,3 @@ def test_domain_bounds():
         simplex_Ck(1)
     with pytest.raises(DomainError):
         simplex_Ck(1001)
-    with pytest.raises(DomainError):
-        asymptotic_report(1)

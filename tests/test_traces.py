@@ -12,10 +12,12 @@ from hypersachs.catalog import (
     path_graph,
     single_edge,
 )
-from hypersachs.errors import DomainError, SizeExceeded
+from hypersachs.canon import canonical_form
+from hypersachs.errors import ConsistencyFailure, DomainError, SizeExceeded
 from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.linalg import charpoly_int
 from hypersachs.traces import (
+    _breakdown_for,
     codegree_coefficients,
     schur_P,
     trace_bruteforce,
@@ -134,6 +136,16 @@ def test_breakdown_sums_to_coefficients():
     for d, entries in table.breakdown.items():
         assert sum((v for _, v in entries), F(0)) == table.coefficient(d)
     assert len(table.breakdown[3]) == 1  # only the tripled edge contributes
+
+
+def test_breakdown_mismatch_raises_consistency_failure(monkeypatch):
+    # a package error, not an assert, so the check survives python -O
+    def with_stray_entry(terms, d):
+        return _breakdown_for(terms, d) + ((canonical_form(EDGE), F(1)),)
+
+    monkeypatch.setattr("hypersachs.traces._breakdown_for", with_stray_entry)
+    with pytest.raises(ConsistencyFailure):
+        codegree_coefficients(complete_kgraph(3), 4, with_breakdown=True)
 
 
 def test_graph_host_matches_adjacency_charpoly():
