@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import SizeExceeded
+from .errors import NormalizationFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, components, flatten, is_connected
 
 VERTEX_BOUND = 16
@@ -174,7 +174,7 @@ def automorphisms(H: MultiHypergraph) -> AutReport:
     """Exact automorphism counts and the flat/multi automorphism ratio.
 
     The ratio is computed per connected component (where it is a positive
-    integer by orbit-stabilizer, asserted) and multiplied across components.
+    integer by orbit-stabilizer, checked) and multiplied across components.
     """
     code, aut = canon_and_aut(H)
     hit = _aut_memo.get(code)
@@ -194,7 +194,8 @@ def automorphisms(H: MultiHypergraph) -> AutReport:
     ratio = 1
     for fa, a in pairs:
         q, r = divmod(fa, a)
-        assert r == 0 and q >= 1, "flat automorphism count must be a multiple"
+        if r or q < 1:
+            raise NormalizationFailure(f"flat automorphism count {fa} is not a multiple of {a}")
         ratio *= q
     report = AutReport(aut_count=aut, flat_aut_count=flat_aut, ratio=ratio)
     _aut_memo[code] = report

@@ -24,7 +24,7 @@ from .formats import (
 from .hypergraph import MultiHypergraph
 from .rooting import assoc_coeff
 from .simplex import simplex_Ck
-from .traces import codegree_coefficients, trace_bruteforce, trace_d
+from .traces import codegree_coefficients, trace_bruteforce, trace_vector
 from .veblen_enum import count_all_veblen, enumerate_connected_veblen
 
 
@@ -163,8 +163,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_traces(args) -> int:
     host, _ = _load_host(args)
     rows = []
-    for d in range(1, args.max_order + 1):
-        value = trace_d(host, d)
+    for d, value in enumerate(trace_vector(host, args.max_order).values, start=1):
         if args.bruteforce:
             other = trace_bruteforce(host, d, budget=args.budget)
             if other != value:

@@ -171,30 +171,14 @@ def is_connected(H: MultiHypergraph) -> bool:
 
 def is_veblen(H: MultiHypergraph) -> bool:
     """True iff every positive vertex degree is divisible by k."""
-    deg: dict[int, int] = {}
-    for e, m in H.edges:
-        for v in e:
-            deg[v] = deg.get(v, 0) + m
-    return all(d % H.k == 0 for d in deg.values())
+    return all(d % H.k == 0 for d in H.degrees().values())
 
 
 def _veblen_subvectors(H: MultiHypergraph) -> list[tuple[int, ...]]:
     """All nonzero multiplicity vectors mu <= m(H) (aligned with H.edges)
     whose sub-multigraph has every degree divisible by k."""
-    k = H.k
-    edge_list = [e for e, _ in H.edges]
-    out = []
-    for combo in itertools.product(*(range(m + 1) for _, m in H.edges)):
-        if not any(combo):
-            continue
-        deg: dict[int, int] = {}
-        for e, c in zip(edge_list, combo):
-            if c:
-                for v in e:
-                    deg[v] = deg.get(v, 0) + c
-        if all(d % k == 0 for d in deg.values()):
-            out.append(combo)
-    return out
+    combos = itertools.product(*(range(m + 1) for _, m in H.edges))
+    return [c for c in combos if any(c) and is_veblen(H.with_multiplicities(c))]
 
 
 def veblen_partitions(

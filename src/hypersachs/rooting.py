@@ -20,7 +20,7 @@ from math import factorial, prod
 
 from .canon import CanonicalCode, canonical_form
 from .digraph import MultiDigraph, arborescence_count, is_eulerian
-from .errors import NotConnected, NotVeblen
+from .errors import ConsistencyFailure, NormalizationFailure, NotConnected, NotVeblen
 from .hypergraph import MultiHypergraph, components, is_connected, is_veblen
 
 
@@ -40,10 +40,7 @@ class EulerOrientation:
 def _root_count_assignments(H: MultiHypergraph):
     """Yield all per-edge root-count assignments meeting every vertex quota."""
     verts = H.non_isolated
-    deg = {v: 0 for v in verts}
-    for e, m in H.edges:
-        for v in e:
-            deg[v] += m
+    deg = H.degrees()
     quota = {v: deg[v] // H.k for v in verts}
     edges = list(H.edges)
     # capacity[i][v]: total copies of edges i.. that contain v; used to prune
@@ -98,10 +95,7 @@ def euler_orientations(H: MultiHypergraph) -> tuple[EulerOrientation, ...]:
     if not is_connected(H):
         raise NotConnected("euler_orientations requires a connected hypergraph")
     verts = H.non_isolated
-    deg = {v: 0 for v in verts}
-    for e, m in H.edges:
-        for v in e:
-            deg[v] += m
+    deg = H.degrees()
     quota = {v: deg[v] // H.k for v in verts}
     quota_factorial = prod(factorial(q) for q in quota.values())
     root_counts = tuple(sorted(quota.items()))
@@ -119,14 +113,16 @@ def euler_orientations(H: MultiHypergraph) -> tuple[EulerOrientation, ...]:
                     if w != root:
                         arcs[(root, w)] = arcs.get((root, w), 0) + c
         weight, rem = divmod(quota_factorial, denom)
-        assert rem == 0, "rooting multiplicity must be integral"
+        if rem:
+            raise NormalizationFailure(f"rooting multiplicity {quota_factorial}/{denom} is not integral")
         key = tuple(sorted(arcs.items()))
         by_arcs[key] = by_arcs.get(key, 0) + weight
 
     out = []
     for key in sorted(by_arcs):
         D = MultiDigraph(vertices=verts, arcs=key)
-        assert is_eulerian(D), "rooted star union must be Eulerian"
+        if not is_eulerian(D):
+            raise ConsistencyFailure("rooted star union is not Eulerian")
         out.append(
             EulerOrientation(digraph=D, root_counts=root_counts, multiplicity=by_arcs[key])
         )

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .canon import CanonicalCode, canonical_form
-from .errors import ConsistencyFailure, SizeExceeded
+from .errors import ConsistencyFailure, NormalizationFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, require_simple
 from .veblen_enum import connected_infragraph_classes
 
@@ -67,10 +67,9 @@ def trace_d(host: MultiHypergraph, d: int) -> Fraction:
 
 
 def trace_vector(host: MultiHypergraph, max_order: int) -> TraceVector:
-    return TraceVector(
-        host=host,
-        values=tuple(trace_d(host, d) for d in range(1, max_order + 1)),
-    )
+    # the largest order first: its walk fills the tables of the smaller ones
+    values = [trace_d(host, d) for d in range(max_order, 0, -1)]
+    return TraceVector(host=host, values=tuple(reversed(values)))
 
 
 def _star_decomposition_count(arcs_out: dict[int, int], stars: list[tuple[tuple[int, ...], int]], d_i: int) -> int:
@@ -97,7 +96,8 @@ def _star_decomposition_count(arcs_out: dict[int, int], stars: list[tuple[tuple[
         return total
 
     value = rec(0) * factorial(d_i)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise NormalizationFailure(f"star decomposition count {value} is not integral")
     return value.numerator
 
 
@@ -194,11 +194,13 @@ def _class_terms(host: MultiHypergraph, max_d: int):
     realized in the host with at most max_d edges, in increasing edge count;
     the term is the class's additive weight -(k-1)^n * coeff * count."""
     sign_scale = -(Fraction(host.k - 1) ** host.n)
-    out = []
-    for dd in range(1, max_d + 1):
-        for rec in connected_infragraph_classes(host, dd, with_coeffs=True):
-            out.append((dd, rec.code, rec.representative, sign_scale * rec.assoc_coeff * rec.labeled_count))
-    return out
+    # the largest order first: its walk fills the tables of the smaller ones
+    per_order = [connected_infragraph_classes(host, dd, with_coeffs=True) for dd in range(max_d, 0, -1)]
+    return [
+        (rec.edge_count, rec.code, rec.representative, sign_scale * rec.assoc_coeff * rec.labeled_count)
+        for records in reversed(per_order)
+        for rec in records
+    ]
 
 
 def _disjoint_union(parts: list[MultiHypergraph]) -> MultiHypergraph:

@@ -7,7 +7,8 @@ Two flavours:
   edge sequences and deduplicated by canonical code;
 * host-relative enumeration: the classes realized by multiplicity functions on
   the edge set of a fixed host, together with how many functions realize each
-  class (the labeled count).
+  class (the labeled count), from one pruned depth-first walk over the
+  host-edge multiplicities that fills the tables of every order at once.
 
 Occurrence counts of disconnected graphs in a host factor over components,
 divided by the symmetry of repeated components, so they can be non-integral.
@@ -23,7 +24,7 @@ from math import comb, factorial
 from .canon import VERTEX_BOUND, CanonicalCode, canonical_form
 from .errors import SizeExceeded
 from .hypergraph import MultiHypergraph, components, is_connected, require_simple
-from .rooting import assoc_coeff_connected
+from .rooting import _coeff_memo, assoc_coeff_connected
 
 MAX_FREE_EDGES = 9
 
@@ -63,16 +64,13 @@ def _sorted_records(by_code: dict, with_coeffs: bool) -> tuple[IsoClassRecord, .
     out = []
     for code in sorted(by_code, key=lambda c: c.blob):
         rep, count = by_code[code]
-        coeff = assoc_coeff_connected(rep) if with_coeffs else None
-        out.append(
-            IsoClassRecord(
-                code=code,
-                representative=rep,
-                edge_count=rep.edge_count,
-                assoc_coeff=coeff,
-                labeled_count=count,
-            )
-        )
+        coeff = None
+        if with_coeffs:
+            # each class weight is computed once, into rooting's memo by code
+            coeff = _coeff_memo.get(code)
+            if coeff is None:
+                coeff = _coeff_memo[code] = assoc_coeff_connected(rep)
+        out.append(IsoClassRecord(code, rep, rep.edge_count, coeff, count))
     return tuple(out)
 
 
@@ -96,15 +94,16 @@ def enumerate_connected_veblen(
         )
     if d <= 0:
         return ()
-    cached = _free_memo.get((k, d))
-    if cached is not None:
-        records = _sorted_records(cached, with_coeffs)
-        return tuple(
-            IsoClassRecord(r.code, r.representative, r.edge_count, r.assoc_coeff, None)
-            for r in records
-        )
+    by_code = _free_memo.get((k, d))
+    if by_code is None:
+        by_code = _free_memo[(k, d)] = _free_classes(k, d)
+    return _sorted_records(by_code, with_coeffs)
+
+
+def _free_classes(k: int, d: int) -> dict:
+    """{code: (representative, None)} for enumerate_connected_veblen."""
     max_verts = min(d, VERTEX_BOUND)
-    by_code: dict[CanonicalCode, list] = {}
+    by_code: dict[CanonicalCode, tuple] = {}
     deg: dict[int, int] = {}
     seq: list[tuple[int, ...]] = []
 
@@ -129,10 +128,8 @@ def enumerate_connected_veblen(
                     counts[e] = counts.get(e, 0) + 1
                 H = MultiHypergraph.build(k, maxu, tuple(counts.items()))
                 assert is_connected(H)
-                code = canonical_form(H)
-                if code not in by_code:
-                    by_code[code] = [H, 0]
-                by_code[code][1] += 1
+                # labeled_count is not meaningful outside a host
+                by_code.setdefault(canonical_form(H), (H, None))
             return
         open_verts = [v for v, dv in deg.items() if dv % k != 0]
         vmin = min(open_verts) if open_verts else None
@@ -158,14 +155,7 @@ def enumerate_connected_veblen(
     seq.append(first)
     rec(first, k, d - 1)
     seq.pop()
-    deg.clear()
-    _free_memo[(k, d)] = by_code
-    records = _sorted_records(by_code, with_coeffs)
-    # labeled_count is not meaningful outside a host
-    return tuple(
-        IsoClassRecord(r.code, r.representative, r.edge_count, r.assoc_coeff, None)
-        for r in records
-    )
+    return by_code
 
 
 def count_all_veblen(k: int, d: int) -> int:
@@ -191,62 +181,86 @@ def count_all_veblen(k: int, d: int) -> int:
     return dp[d]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+# the tables of the most recently walked host only, so a long-lived process
+# holds one host: {host: [classes with 1 edge, ..., with D edges]}
+_infra_memo: dict[MultiHypergraph, list[dict]] = {}
 
 
-_infra_memo: dict[tuple[MultiHypergraph, int], dict] = {}
-
-
-def _infragraph_classes_raw(host: MultiHypergraph, d: int) -> dict:
-    cached = _infra_memo.get((host, d))
-    if cached is not None:
-        return cached
+def _host_tables(host: MultiHypergraph, d: int) -> list[dict]:
+    """The host's class tables {code: [representative, labeled count]} of
+    orders 1..D for some D >= d; walks to order d unless stored."""
+    tables = _infra_memo.get(host)
+    if tables is not None and len(tables) >= d:
+        return tables
+    k = host.k
     edges = [e for e, _ in host.edges]
-    incident: dict[int, list[int]] = {}
-    for idx, e in enumerate(edges):
-        for v in e:
-            incident.setdefault(v, []).append(idx)
-    by_code: dict[CanonicalCode, list] = {}
-    for mu in _compositions(d, len(edges)):
-        deg_ok = True
-        for v, idxs in incident.items():
-            if sum(mu[i] for i in idxs) % host.k != 0:
-                deg_ok = False
-                break
-        if not deg_ok:
-            continue
-        chosen = tuple((edges[i], m) for i, m in enumerate(mu) if m > 0)
-        G = MultiHypergraph.build(host.k, host.n, chosen)
+    last = {v: i for i, e in enumerate(edges) for v in e}
+    closing = [[v for v in e if last[v] == i] for i, e in enumerate(edges)]
+    deg = dict.fromkeys(last, 0)
+    mu = [0] * len(edges)
+    tables = [{} for _ in range(d)]
+
+    def leaf(used: int) -> None:
+        chosen = tuple((e, m) for e, m in zip(edges, mu) if m)
+        G = MultiHypergraph.build(k, host.n, chosen)
         if not is_connected(G):
-            continue
+            return
         rep = components(G)[0]
-        code = canonical_form(rep)
-        if code not in by_code:
-            by_code[code] = [rep, 0]
-        by_code[code][1] += 1
-    _infra_memo[(host, d)] = by_code
-    return by_code
+        hit = tables[used - 1].setdefault(canonical_form(rep), [rep, 0])
+        hit[1] += 1
+
+    def rec(i: int, used: int, deficit: int) -> None:
+        if i == len(edges):
+            if used:
+                leaf(used)
+            return
+        e = edges[i]
+        residues = {-deg[v] % k for v in closing[i]}
+        if len(residues) > 1:
+            return
+        start, step = (residues.pop(), k) if residues else (0, 1)
+        # deficit of the vertices outside e, which this edge cannot lower
+        others = deficit - sum(-deg[v] % k for v in e)
+        for m in range(start, d - used + 1, step):
+            left = k * (d - used - m)
+            if others > left:
+                break
+            for v in e:
+                deg[v] += m
+            now = others + sum(-deg[v] % k for v in e)
+            if now <= left:
+                mu[i] = m
+                rec(i + 1, used + m, now)
+            for v in e:
+                deg[v] -= m
+
+    rec(0, 0, 0)
+    _infra_memo.clear()
+    _infra_memo[host] = tables
+    return tables
 
 
 def connected_infragraph_classes(
     host: MultiHypergraph, d: int, with_coeffs: bool = False
 ) -> tuple[IsoClassRecord, ...]:
     """Isomorphism classes of connected Veblen graphs with d edges realized by
-    multiplicity functions on the host's edge set, with labeled counts."""
+    multiplicity functions on the host's edge set, with labeled counts.
+
+    One depth-first walk fills the tables of every order up to d; later calls
+    on the same host up to that order read them until another host is
+    walked, so a caller that needs several orders asks for the largest first.  The walk visits the edges in
+    `host.edges` order, each multiplicity ascending, so the vectors of one
+    order come in lexicographic order and a class keeps its first vector as
+    representative.  It prunes twice.  A vertex closes at its last incident
+    edge, whose multiplicity must bring its degree to 0 mod k: that edge steps
+    by k from the forced residue, and closing vertices that force different
+    residues cut the branch.  A branch is also cut when the degree deficits
+    sum_v ((-deg v) mod k) exceed k times the edges left in the budget.  Every
+    leaf is thus a Veblen vector, and only leaves build a MultiHypergraph."""
     require_simple(host)
     if d <= 0:
         return ()
-    return _sorted_records(_infragraph_classes_raw(host, d), with_coeffs)
+    return _sorted_records(_host_tables(host, d)[d - 1], with_coeffs)
 
 
 def count_infragraph(host: MultiHypergraph, H: MultiHypergraph) -> OccurrenceCount:
@@ -265,10 +279,10 @@ def count_infragraph(host: MultiHypergraph, H: MultiHypergraph) -> OccurrenceCou
         if code not in class_mult:
             class_mult[code] = [comp, 0]
         class_mult[code][1] += 1
+    tables = _host_tables(host, max(comp.edge_count for comp, _ in class_mult.values()))
     value = Fraction(1)
     for code, (comp, mu) in class_mult.items():
-        table = _infragraph_classes_raw(host, comp.edge_count)
-        hit = table.get(code)
+        hit = tables[comp.edge_count - 1].get(code)
         n_comp = hit[1] if hit is not None else 0
         if n_comp == 0:
             return OccurrenceCount(Fraction(0))

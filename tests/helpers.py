@@ -1,10 +1,12 @@
-"""Builders and the walk-expansion oracle shared across test modules."""
+"""Builders, the walk-expansion oracle and the composition-scan oracle
+shared across test modules."""
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
-from hypersachs.hypergraph import MultiHypergraph
+from hypersachs.canon import canonical_form
+from hypersachs.hypergraph import MultiHypergraph, components, is_connected, is_veblen
 
 
 def graph2(n, edges):
@@ -236,3 +238,24 @@ def exponential_formula_coefficients(terms, max_d):
                 power *= x
         poly = nxt
     return poly
+
+
+# ----------------------------------------------------------------------
+# Composition-scan oracle for host-relative enumeration.
+
+
+def scan_infragraph_classes(host, d):
+    """{code: [representative, labeled count]} of the connected Veblen graphs
+    with d edges on the host, by scanning every composition of d over the
+    host edges in lexicographic order; a class's representative is the first
+    component of its first vector.  Oracle for the pruned host walk."""
+    edges = [e for e, _ in host.edges]
+    out = {}
+    for mu in _compositions(d, len(edges)):
+        G = MultiHypergraph.build(host.k, host.n, [(e, m) for e, m in zip(edges, mu) if m])
+        if not is_veblen(G) or not is_connected(G):
+            continue
+        rep = components(G)[0]
+        hit = out.setdefault(canonical_form(rep), [rep, 0])
+        hit[1] += 1
+    return out

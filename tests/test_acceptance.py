@@ -6,14 +6,18 @@ failure report carries the verdict next to the details.
 """
 
 import io
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import hypersachs
 from helpers import (
     all_labeled_graphs,
     all_simple_3graphs,
@@ -95,6 +99,23 @@ def test_criterion_1_plane_family_codegree_9(tmp_path):
     print(f"CRITERION 1 (codegree 9): {'PASS' if ok else 'FAIL'} ({elapsed:.1f}s)")
     assert got == {lb: ROWS_12[lb][:10] for lb in HOSTS}
     assert elapsed < 60
+
+
+def test_plane_row_under_python_O(tmp_path):
+    # python -O strips asserts; the invariants on the coefficient path raise
+    # package errors instead, and the row is unchanged
+    path = tmp_path / "F.txt"
+    path.write_text(serialize_hypergraph(HOSTS["F"]))
+    src = Path(hypersachs.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hypersachs", "coeffs", "--input", str(path),
+         "--max-codegree", "9", "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    row = [F(v) for _, v in (line.split(",") for line in proc.stdout.splitlines())]
+    assert row == ROWS_12["F"][:10]
 
 
 @pytest.mark.extended

@@ -19,7 +19,8 @@ from hypersachs.catalog import (
     single_edge,
 )
 from hypersachs.digraph import is_eulerian
-from hypersachs.errors import NotConnected, NotVeblen
+from hypersachs import rooting
+from hypersachs.errors import ConsistencyFailure, NotConnected, NotVeblen
 from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.rooting import assoc_coeff, assoc_coeff_connected, euler_orientations
 
@@ -131,3 +132,10 @@ def test_orientation_invariants_on_simplex():
 
 def test_pinned_values_positive():
     assert all(v > 0 for v in PINNED.values())
+
+
+def test_non_eulerian_star_union_raises(monkeypatch):
+    # a package error, not an assert, so the check survives python -O
+    monkeypatch.setattr(rooting, "is_eulerian", lambda D: False)
+    with pytest.raises(ConsistencyFailure):
+        euler_orientations(complete_kgraph(3))

@@ -1,10 +1,13 @@
 """Isomorphism-class enumeration, free and host-realized."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from helpers import random_3graph, random_graph, scan_infragraph_classes
+from hypersachs import rooting, veblen_enum
 from hypersachs.canon import canonical_form
 from hypersachs.catalog import (
     REFERENCE_VEBLEN,
@@ -14,8 +17,11 @@ from hypersachs.catalog import (
     single_edge,
     unsplittable_veblen,
 )
+from hypersachs.cli import dispatch
 from hypersachs.errors import SizeExceeded
+from hypersachs.formats import serialize_hypergraph
 from hypersachs.hypergraph import MultiHypergraph, is_connected, is_veblen
+from hypersachs.traces import codegree_coefficients, trace_vector
 from hypersachs.veblen_enum import (
     MAX_FREE_EDGES,
     OccurrenceCount,
@@ -145,3 +151,100 @@ def test_small_orders_without_valid_degree_vectors():
     # divisible by three
     assert connected_infragraph_classes(fano_plane(), 2) == ()
     assert count_all_veblen(2, 2) == 1
+
+
+def _oracle_hosts(family):
+    """(host, largest order) pairs for the composition-scan comparison."""
+    if family == "fano":
+        return [(fano_plane(), 9)]
+    if family == "fano_minus_two":
+        return [(fano_minus_two(), 9)]
+    if family == "k5":
+        return [(MultiHypergraph.build(3, 5, combinations(range(1, 6), 3)), 6)]
+    if family == "simplex4":
+        return [(complete_kgraph(4), 8)]
+    if family == "graphs":
+        rng = random.Random(11)
+        return [(random_graph(rng, rng.randint(5, 6), 0.6), 6) for _ in range(3)]
+    rng = random.Random(12)
+    hosts = [(random_3graph(rng, rng.randint(4, 6), 0.5), 6) for _ in range(20)]
+    # vertex n+1 of the first host is isolated
+    first = hosts[0][0]
+    hosts[0] = (MultiHypergraph.build(3, first.n + 1, first.support), 6)
+    return hosts
+
+
+@pytest.mark.parametrize(
+    "family", ["fano", "fano_minus_two", "k5", "simplex4", "graphs", "random3"]
+)
+def test_host_walk_matches_composition_scan(family):
+    for host, top in _oracle_hosts(family):
+        expected = {d: scan_infragraph_classes(host, d) for d in range(1, top + 1)}
+        # largest order first: every table comes from one walk to `top`;
+        # then smallest first: each table is the top order of its own walk
+        for orders in (range(top, 0, -1), range(1, top + 1)):
+            veblen_enum.clear_caches()
+            for d in orders:
+                got = connected_infragraph_classes(host, d)
+                assert {r.code for r in got} == set(expected[d])
+                for r in got:
+                    rep, count = expected[d][r.code]
+                    assert r.labeled_count == count
+                    assert r.representative == rep
+
+
+def test_host_memo_keeps_only_the_last_host():
+    veblen_enum.clear_caches()
+    first = connected_infragraph_classes(fano_plane(), 6, with_coeffs=True)
+    connected_infragraph_classes(fano_minus_two(), 6)
+    assert len(veblen_enum._infra_memo) == 1
+    assert connected_infragraph_classes(fano_plane(), 6, with_coeffs=True) == first
+    assert len(veblen_enum._infra_memo) == 1
+
+
+def test_one_host_walk_per_table(monkeypatch, tmp_path):
+    # the walk canonicalizes each connected Veblen vector once, so one walk to
+    # order D makes exactly as many canon calls as there are such vectors of
+    # order <= D; a walk per order would make more
+    calls = []
+    real = veblen_enum.canonical_form
+    monkeypatch.setattr(
+        veblen_enum, "canonical_form", lambda H: calls.append(1) or real(H)
+    )
+    path = tmp_path / "fano.txt"
+    path.write_text(serialize_hypergraph(fano_plane()))
+    runs = [
+        (lambda: codegree_coefficients(fano_plane(), 12), 12),
+        (lambda: trace_vector(fano_plane(), 9), 9),
+        (lambda: dispatch(["traces", "--input", str(path), "--max-order", "9"]), 9),
+    ]
+    for run, top in runs:
+        veblen_enum.clear_caches()
+        calls.clear()
+        run()
+        vectors = sum(
+            r.labeled_count
+            for d in range(1, top + 1)
+            for r in connected_infragraph_classes(fano_plane(), d)
+        )
+        assert vectors > 0
+        assert len(calls) == vectors
+
+
+def test_class_weights_computed_once(monkeypatch):
+    # a table read again with weights, by a second caller, reuses them
+    calls = []
+    real = veblen_enum.assoc_coeff_connected
+    monkeypatch.setattr(
+        veblen_enum, "assoc_coeff_connected", lambda H: calls.append(1) or real(H)
+    )
+    veblen_enum.clear_caches()
+    rooting.clear_caches()
+    table = codegree_coefficients(fano_plane(), 9)
+    trace_vector(fano_plane(), 9)
+    classes = sum(
+        len(connected_infragraph_classes(fano_plane(), d)) for d in range(1, 10)
+    )
+    assert classes > 0
+    assert len(calls) == classes
+    assert table == codegree_coefficients(fano_plane(), 9)
