@@ -1,21 +1,38 @@
 """Canonical codes and automorphism counting for multi-hypergraphs.
 
-The canonical form of a multi-hypergraph is the lexicographically minimal
-edge encoding over all vertex relabelings compatible with an iteratively
-refined structural coloring.  Labels are assigned one position at a time;
-an edge enters the encoding as soon as all its endpoints are labeled, keyed
-to the position that completed it, so the encoding grows append-only and
-admits sound prefix pruning.  The same search counts the relabelings that
-attain the minimum, which equals |Aut(H)| by orbit-stabilizer.
+A connected multi-hypergraph is labeled by individualization-refinement
+(McKay & Piperno, *Practical graph isomorphism, II*, 2014).  Vertex colours
+are refined to an equitable partition: a vertex's new colour is its old one
+together with the sorted multiset of (multiplicity, member colours) of its
+edges, repeated until no cell splits.  The search tree branches on the first
+smallest non-singleton cell, individualizing each of its vertices in turn
+and refining again.  At a leaf the partition is discrete, and the leaf's code
+is the sorted edge encoding under its labels; the canonical code is the
+least leaf code.
+
+Two leaves with equal codes differ by an automorphism.  Automorphisms prune
+the search twice: a child of a node on the first path is skipped when its
+vertex lies in the orbit of a child already explored, and a subtree is left
+as soon as one of its leaves matches the first or the best leaf.  |Aut| is
+the product of the orbit sizes of the first path's vertices under the
+automorphisms found (orbit-stabilizer), so no leaf is counted.
+
+A disconnected graph's code is the sorted multiset of its component codes,
+marked so that it never equals a connected code.  Its |Aut| is the product
+of the component counts times the factorial of each repeat count, and
+VERTEX_BOUND applies to each component on its own.  Isolated vertices are
+ignored throughout.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
+from math import factorial, prod
 
 from .errors import NormalizationFailure, SizeExceeded
-from .hypergraph import MultiHypergraph, components, flatten, is_connected
+from .hypergraph import MultiHypergraph, component_supports, components, flatten, is_connected
 
 VERTEX_BOUND = 16
 
@@ -44,123 +61,123 @@ class AutReport:
     ratio: int
 
 
-def _refine_colors(verts, edge_items):
-    """Iterated structural coloring; returns vertex -> color id with color ids
-    numbered in a relabeling-invariant order."""
-    deg = {v: 0 for v in verts}
-    for e, m in edge_items:
+def _refine(col: list[int], ncells: int, edges, inc) -> tuple[list[int], int]:
+    """Equitable refinement of the colouring `col` (colours 0..ncells-1).
+    Cells split in place, sub-cells ordered by their invariant keys."""
+    while ncells < len(col):  # a discrete colouring cannot split
+        ekeys = [(mult, tuple(sorted([col[u] for u in e]))) for e, mult in edges]
+        keys = [(c, tuple(sorted([ekeys[i] for i in inc[v]]))) for v, c in enumerate(col)]
+        distinct = sorted(set(keys))
+        if len(distinct) == ncells:
+            break
+        rank = {key: r for r, key in enumerate(distinct)}
+        col = [rank[key] for key in keys]
+        ncells = len(distinct)
+    return col, ncells
+
+
+def _search(m: int, edges) -> tuple[tuple, int]:
+    """Least leaf code and |Aut| of a connected graph on vertices 0..m-1."""
+    inc: list[list[int]] = [[] for _ in range(m)]
+    for i, (e, _) in enumerate(edges):
         for v in e:
-            deg[v] += m
-    ranks = {c: i for i, c in enumerate(sorted({deg[v] for v in verts}))}
-    colors = {v: ranks[deg[v]] for v in verts}
-    ncolors = len(ranks)
-    while True:
-        keys = {}
-        for v in verts:
-            incident = []
-            for e, m in edge_items:
-                if v in e:
-                    incident.append((m, tuple(sorted(colors[w] for w in e if w != v))))
-            keys[v] = (colors[v], tuple(sorted(incident)))
-        ranks = {c: i for i, c in enumerate(sorted(set(keys.values())))}
-        colors = {v: ranks[keys[v]] for v in verts}
-        if len(ranks) == ncolors:
-            return colors
-        ncolors = len(ranks)
+            inc[v].append(i)
+    orbit = list(range(m))  # union-find over the automorphisms found
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
+    first: list = []  # [code, colouring, path] of the first leaf
+    best: list = []  # the same for the least leaf so far
+    aut = 1
+
+    def leaf(col: list[int], path: list[int]) -> int | None:
+        """Compare a leaf; on a match with the first or best leaf, record the
+        automorphism and return the depth of the common ancestor."""
+        code = tuple(sorted([(tuple(sorted([col[u] for u in e])), mult) for e, mult in edges]))
+        if not first:
+            first[:] = best[:] = [code, col, path[:]]
+            return None
+        for ref in (first, best):
+            if code == ref[0]:
+                at = [0] * m
+                for u, c in enumerate(col):
+                    at[c] = u
+                for u, c in enumerate(ref[1]):
+                    orbit[find(u)] = find(at[c])
+                depth = 0
+                while path[depth] == ref[2][depth]:
+                    depth += 1
+                return depth
+        if code < best[0]:
+            best[:] = [code, col, path[:]]
+        return None
+
+    def node(col: list[int], ncells: int, path: list[int], on_first: bool) -> int | None:
+        nonlocal aut
+        if ncells == m:
+            return leaf(col, path)
+        size = Counter(col)
+        target = min((s, c) for c, s in size.items() if s > 1)[1]
+        depth = len(path)
+        explored: list[int] = []
+        for w in [v for v, c in enumerate(col) if c == target]:
+            if on_first and explored and find(w) in {find(x) for x in explored}:
+                continue
+            child = [c + (c > target or (c == target and v != w)) for v, c in enumerate(col)]
+            child, n = _refine(child, ncells + 1, edges, inc)
+            path.append(w)
+            jump = node(child, n, path, on_first and not first)
+            path.pop()
+            explored.append(w)
+            if jump is not None and jump < depth:
+                return jump
+        if on_first:
+            root = find(explored[0])
+            aut *= sum(1 for v in range(m) if find(v) == root)
+        return None
+
+    col, ncells = _refine([0] * m, 1, edges, inc)
+    node(col, ncells, [], True)
+    return best[0], aut
 
 
-def _canon_search(H: MultiHypergraph) -> tuple[tuple, int]:
-    """Minimal position-blocked edge encoding and the number of relabelings
-    attaining it (= |Aut| acting on the non-isolated vertices)."""
-    verts = H.non_isolated
+def _connected_code(k: int, verts, edges) -> tuple[CanonicalCode, int]:
+    """Code and |Aut| of the connected graph with these edges on `verts`."""
     m = len(verts)
     if m > VERTEX_BOUND:
         raise SizeExceeded(
-            f"canonical form supports at most {VERTEX_BOUND} non-isolated vertices, got {m}"
+            f"canonical form supports at most {VERTEX_BOUND} vertices per component, got {m}"
         )
-    if m == 0:
-        return ((), 1)
-    edge_items = [(frozenset(e), mult) for e, mult in H.edges]
-    colors = _refine_colors(verts, edge_items)
-    cell_map: dict[int, list[int]] = {}
-    for v in verts:
-        cell_map.setdefault(colors[v], []).append(v)
-    cells = [sorted(cell_map[c]) for c in sorted(cell_map)]
-
-    # per-edge count of still-unlabeled endpoints; an edge joins the encoding
-    # at the position that drops its count to zero
-    need = [len(e) for e, _ in edge_items]
-    incident_idx: dict[int, list[int]] = {v: [] for v in verts}
-    for idx, (e, _) in enumerate(edge_items):
-        for v in e:
-            incident_idx[v].append(idx)
-
-    best: list[tuple] | None = None
-    aut = 0
-    label: dict[int, int] = {}
-    used: set[int] = set()
-
-    def rec(ci: int, left_in_cell: int, pos: int, blocks: list[tuple], tied: bool):
-        nonlocal best, aut
-        if left_in_cell == 0:
-            ci += 1
-            if ci == len(cells):
-                if best is None or blocks < best:
-                    best = blocks[:]
-                    aut = 1
-                elif blocks == best:
-                    aut += 1
-                return
-            left_in_cell = len(cells[ci])
-        for v in cells[ci]:
-            if v in used:
-                continue
-            label[v] = pos
-            used.add(v)
-            block = []
-            for idx in incident_idx[v]:
-                need[idx] -= 1
-                if need[idx] == 0:
-                    e, mult = edge_items[idx]
-                    block.append((tuple(sorted(label[w] for w in e)), mult))
-            block.sort()
-            blk = tuple(block)
-            now_tied = tied
-            prune = False
-            if now_tied and best is not None:
-                ref = best[pos]
-                if blk > ref:
-                    prune = True
-                elif blk < ref:
-                    now_tied = False
-            if not prune:
-                blocks.append(blk)
-                rec(ci, left_in_cell - 1, pos + 1, blocks, now_tied)
-                blocks.pop()
-            for idx in incident_idx[v]:
-                need[idx] += 1
-            used.discard(v)
-            del label[v]
-
-    rec(0, len(cells[0]), 0, [], True)
-    assert best is not None
-    return (tuple(best), aut)
+    index = {v: i for i, v in enumerate(verts)}
+    local = [(tuple(index[v] for v in e), mult) for e, mult in edges]
+    code, aut = _search(m, local) if m else ((), 1)
+    parts = [f"k{k}", f"n{m}"] + [",".join(map(str, e)) + f"x{mult}" for e, mult in code]
+    return CanonicalCode("|".join(parts).encode()), aut
 
 
-def _encode(k: int, m: int, blocks: tuple) -> bytes:
-    parts = [f"k{k}", f"n{m}"]
-    for block in blocks:
-        for enc, mult in block:
-            parts.append(",".join(map(str, enc)) + f"x{mult}")
-        parts.append(";")
-    return "|".join(parts).encode()
+def _union_code(codes) -> CanonicalCode:
+    """Code of the disjoint union of connected graphs with these codes."""
+    if len(codes) == 1:
+        return codes[0]
+    return CanonicalCode(b"u" + b"+".join(sorted(c.blob for c in codes)))
 
 
 def canon_and_aut(H: MultiHypergraph) -> tuple[CanonicalCode, int]:
     """Canonical code together with |Aut(H)| (non-isolated vertices only)."""
-    blocks, aut = _canon_search(H)
-    code = CanonicalCode(_encode(H.k, len(H.non_isolated), blocks))
-    return code, aut
+    supports = component_supports(H)
+    if len(supports) <= 1:
+        return _connected_code(H.k, H.non_isolated, H.edges)
+    parts = [
+        _connected_code(H.k, sorted(s), [(e, mult) for e, mult in H.edges if e[0] in s])
+        for s in supports
+    ]
+    codes = [code for code, _ in parts]
+    aut = prod(a for _, a in parts) * prod(factorial(r) for r in Counter(codes).values())
+    return _union_code(codes), aut
 
 
 def canonical_form(H: MultiHypergraph) -> CanonicalCode:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NotConnected, NotVeblen, SizeExceeded
+from .errors import DomainError, NormalizationFailure, NotConnected, NotVeblen, SizeExceeded
 from .hypergraph import (
     MultiHypergraph,
     is_connected,
@@ -191,7 +191,8 @@ def graph_assoc_coeff(G: MultiHypergraph) -> Fraction:
 
     T = sum(walks(s, 0, s) for s in touch)
     q, r = divmod(T, L)
-    assert r == 0, "pointed trail count must split into rotation classes"
+    if r:
+        raise NormalizationFailure(f"pointed trail count {T} does not split into rotation classes of {L}")
     return Fraction(q, math.prod(math.factorial(m) for _, m in G.edges))
 
 

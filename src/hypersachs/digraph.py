@@ -1,6 +1,5 @@
 """Directed multigraph machinery: Eulerian tests, arborescence counts via the
-matrix-tree determinant, and Euler-circuit counts via the BEST formula, plus a
-small brute-force circuit counter used as an oracle.
+matrix-tree determinant, and Euler-circuit counts via the BEST formula.
 
 Parallel arcs are stored as multiplicities but circuits are counted as if the
 copies were distinguishable (the convention the BEST formula uses); circuits
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import DomainError, NotEulerian, SizeExceeded
+from .errors import ConsistencyFailure, DomainError, NotEulerian
 from .linalg import bareiss_det
 
 Arc = tuple[int, int]
@@ -117,7 +116,8 @@ def arborescence_count(D: MultiDigraph, root: int) -> int:
         [lap[i][j] for j in range(n) if j != r] for i in range(n) if i != r
     ]
     det = bareiss_det(minor)
-    assert det >= 0, "arborescence count cannot be negative"
+    if det < 0:
+        raise ConsistencyFailure(f"arborescence count {det} is negative")
     return det
 
 
@@ -134,36 +134,3 @@ def euler_circuit_count(D: MultiDigraph) -> int:
     for v in support:
         count *= factorial(indeg[v] - 1)
     return count
-
-
-def euler_circuit_count_bruteforce(D: MultiDigraph, max_arcs: int = 10) -> int:
-    """Oracle: exhaustively enumerate Euler tours (distinguishable arc copies)
-    and divide by the tour length to collapse rotations."""
-    if not is_eulerian(D):
-        raise NotEulerian("Euler circuit count requires a balanced, connected digraph")
-    total_arcs = D.arc_count
-    if total_arcs > max_arcs:
-        raise SizeExceeded(f"brute-force circuit count limited to {max_arcs} arcs")
-    support = D.non_isolated
-    out_by_vertex: dict[int, list[Arc]] = {v: [] for v in support}
-    for (u, v), _ in D.arcs:
-        out_by_vertex[u].append((u, v))
-    remaining = {arc: m for arc, m in D.arcs}
-
-    def walks(current: int, left: int, start: int) -> int:
-        if left == 0:
-            return 1 if current == start else 0
-        total = 0
-        for arc in out_by_vertex[current]:
-            if remaining[arc] > 0:
-                remaining[arc] -= 1
-                total += walks(arc[1], left - 1, start)
-                remaining[arc] += 1
-        return total
-
-    pointed = sum(walks(s, total_arcs, s) for s in support)
-    for _, m in D.arcs:
-        pointed *= factorial(m)
-    circuits, rem = divmod(pointed, total_arcs)
-    assert rem == 0, "pointed tour count must be divisible by the tour length"
-    return circuits

@@ -106,7 +106,8 @@ class MultiHypergraph:
     def with_multiplicities(self, mults: tuple[int, ...]) -> "MultiHypergraph":
         """Sub-multigraph on the same vertex set given per-edge multiplicities
         aligned with `self.edges` (zero drops the edge)."""
-        assert len(mults) == len(self.edges)
+        if len(mults) != len(self.edges):
+            raise DomainError(f"{len(mults)} multiplicities for {len(self.edges)} edges")
         edges = [
             (e, c) for (e, _), c in zip(self.edges, mults) if c > 0
         ]

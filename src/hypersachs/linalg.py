@@ -1,10 +1,12 @@
 """Exact integer linear algebra: determinants and characteristic polynomials.
 
 Everything here works over plain Python integers; divisions are exact by
-construction and asserted.
+construction, and an inexact one raises NormalizationFailure.
 """
 
 from __future__ import annotations
+
+from .errors import NormalizationFailure
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
@@ -31,7 +33,8 @@ def bareiss_det(matrix: list[list[int]]) -> int:
             for l in range(j + 1, n):
                 num = m[i][l] * m[j][j] - m[i][j] * m[j][l]
                 q, r = divmod(num, prev)
-                assert r == 0, "Bareiss division must be exact"
+                if r:
+                    raise NormalizationFailure("Bareiss division must be exact")
                 m[i][l] = q
             m[i][j] = 0
         prev = m[j][j]
@@ -61,7 +64,8 @@ def charpoly_int(matrix: list[list[int]]) -> tuple[int, ...]:
     for step in range(1, n + 1):
         trace = sum(work[i][i] for i in range(n))
         q, r = divmod(-trace, step)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
+        if r:
+            raise NormalizationFailure("Faddeev-LeVerrier division must be exact")
         coeffs.append(q)
         if step == n:
             break
@@ -89,9 +93,11 @@ def poly_exact_div(a: list[int], b: list[int]) -> list[int]:
     lead = b[0]
     for i in range(len(a) - len(b) + 1):
         q, r = divmod(a[i], lead)
-        assert r == 0, "polynomial division must be exact"
+        if r:
+            raise NormalizationFailure("polynomial division must be exact")
         out.append(q)
         for j, y in enumerate(b):
             a[i + j] -= q * y
-    assert all(x == 0 for x in a), "polynomial division must be exact"
+    if any(a):
+        raise NormalizationFailure("polynomial division must be exact")
     return out

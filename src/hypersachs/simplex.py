@@ -13,7 +13,7 @@ computed here either by grouping derangements by cycle type (partitions with
 parts >= 2) or by an exponential-formula recurrence that avoids enumerating
 partitions altogether.  The divisor (k-1)(k+1)^2 reproduces every published
 value; printed variants that drop a (k+1) do not, and the normalization is
-asserted (NormalizationFailure on inexact division).
+checked (NormalizationFailure on inexact division).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .digraph import MultiDigraph
-from .errors import DomainError, NormalizationFailure
+from .errors import ConsistencyFailure, DomainError, NormalizationFailure
 from .linalg import poly_exact_div, poly_mul
 
 MAX_K = 1000
@@ -93,7 +93,8 @@ def derangements_by_type(p: PartitionMin2) -> int:
         factorial(v) for v in p.multiplicities().values()
     )
     count, rem = divmod(factorial(m), denom)
-    assert rem == 0
+    if rem:
+        raise NormalizationFailure(f"{m}! is not divisible by the centralizer order {denom}")
     return count
 
 
@@ -137,7 +138,7 @@ def simplex_Ck(k: int) -> SimplexCoefficientReport:
     """Full report for the simplex constant C_k, 2 <= k <= 1000.
 
     Per-partition contributions are included when the number of cycle types is
-    at most CONTRIBUTION_CAP; their sum is asserted against the recurrence.
+    at most CONTRIBUTION_CAP; their sum is checked against the recurrence.
     """
     if not 2 <= k <= MAX_K:
         raise DomainError(f"k must be in 2..{MAX_K}, got {k}")
@@ -157,7 +158,10 @@ def simplex_Ck(k: int) -> SimplexCoefficientReport:
             )
             entries.append((p, contr))
             total += contr
-        assert total == S, "cycle-type contributions must sum to the recurrence value"
+        if total != S:
+            raise ConsistencyFailure(
+                f"cycle-type contributions sum to {total}, not the recurrence value {S}"
+            )
         contributions = tuple(entries)
     return SimplexCoefficientReport(
         k=k,
@@ -254,8 +258,9 @@ def simplex_orientation(k: int, sigma) -> MultiDigraph:
 
 def simplex_tau_formula(k: int, p: PartitionMin2) -> int:
     """Arborescence count of a derangement orientation from its cycle type:
-    prod of cycle factors divided by (k+1)^2, asserted integral."""
+    prod of cycle factors divided by (k+1)^2, checked integral."""
     value = prod(cycle_factor(k, length) for length in p.parts)
     tau, rem = divmod(value, (k + 1) ** 2)
-    assert rem == 0, "cycle-factor product must be divisible by (k+1)^2"
+    if rem:
+        raise NormalizationFailure(f"cycle-factor product {value} is not divisible by (k+1)^2")
     return tau

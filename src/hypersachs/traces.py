@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .canon import CanonicalCode, canonical_form
+from .canon import CanonicalCode, _union_code
 from .errors import ConsistencyFailure, NormalizationFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, require_simple
 from .veblen_enum import connected_infragraph_classes
@@ -190,47 +190,34 @@ def schur_P(d: int, ts) -> Fraction:
 
 
 def _class_terms(host: MultiHypergraph, max_d: int):
-    """(edge count, code, representative, term value) for each connected class
+    """(edge count, code, term value) for each connected class
     realized in the host with at most max_d edges, in increasing edge count;
     the term is the class's additive weight -(k-1)^n * coeff * count."""
     sign_scale = -(Fraction(host.k - 1) ** host.n)
     # the largest order first: its walk fills the tables of the smaller ones
     per_order = [connected_infragraph_classes(host, dd, with_coeffs=True) for dd in range(max_d, 0, -1)]
     return [
-        (rec.edge_count, rec.code, rec.representative, sign_scale * rec.assoc_coeff * rec.labeled_count)
+        (rec.edge_count, rec.code, sign_scale * rec.assoc_coeff * rec.labeled_count)
         for records in reversed(per_order)
         for rec in records
     ]
 
 
-def _disjoint_union(parts: list[MultiHypergraph]) -> MultiHypergraph:
-    k = parts[0].k
-    offset = 0
-    edges = []
-    for part in parts:
-        for e, mult in part.edges:
-            edges.append((tuple(v + offset for v in e), mult))
-        offset += part.n
-    return MultiHypergraph.build(k, offset, edges)
-
-
 def _breakdown_for(terms, d: int) -> tuple[tuple[CanonicalCode, Fraction], ...]:
     """Per-class contributions to c_d: one entry per Veblen class with d edges
     realized in the host (components may repeat), summing to c_d.  `terms`
-    are `_class_terms` of the host, in increasing edge count."""
+    are `_class_terms` of the host, in increasing edge count; each entry's
+    code is the union code of the component codes they hold."""
     entries: list[tuple[CanonicalCode, Fraction]] = []
 
     def rec(idx: int, left: int, chosen: list[tuple[int, int]], weight: Fraction):
         if left == 0:
-            parts = []
-            for t_idx, mu in chosen:
-                parts.extend([terms[t_idx][2]] * mu)
-            code = canonical_form(_disjoint_union(parts))
-            entries.append((code, weight))
+            codes = [terms[t_idx][1] for t_idx, mu in chosen for _ in range(mu)]
+            entries.append((_union_code(codes), weight))
             return
         if idx == len(terms) or terms[idx][0] > left:
             return
-        dd, _code, _rep, x = terms[idx]
+        dd, _code, x = terms[idx]
         rec(idx + 1, left, chosen, weight)
         mu = 1
         power = x
@@ -265,7 +252,7 @@ def codegree_coefficients(
         raise ValueError("max_codegree must be >= 0")
     terms = _class_terms(host, max_codegree)
     ts = [Fraction(0)] * max_codegree
-    for dd, _code, _rep, x in terms:
+    for dd, _code, x in terms:
         ts[dd - 1] += x
     coefficients = tuple(schur_P(dv, ts) for dv in range(max_codegree + 1))
     breakdown = None

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .canon import VERTEX_BOUND, CanonicalCode, canonical_form
-from .errors import SizeExceeded
+from .errors import ConsistencyFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, components, is_connected, require_simple
 from .rooting import _coeff_memo, assoc_coeff_connected
 
@@ -127,7 +127,8 @@ def _free_classes(k: int, d: int) -> dict:
                 for e in seq:
                     counts[e] = counts.get(e, 0) + 1
                 H = MultiHypergraph.build(k, maxu, tuple(counts.items()))
-                assert is_connected(H)
+                if not is_connected(H):
+                    raise ConsistencyFailure(f"free enumeration built a disconnected graph {H.edges}")
                 # labeled_count is not meaningful outside a host
                 by_code.setdefault(canonical_form(H), (H, None))
             return

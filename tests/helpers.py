@@ -1,11 +1,14 @@
-"""Builders, the walk-expansion oracle and the composition-scan oracle
-shared across test modules."""
+"""Builders and the test-only oracles shared across test modules: Euler
+circuits by brute force, the walk expansion, the composition scan and the
+exhaustive canonical-labeling search."""
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
 from hypersachs.canon import canonical_form
+from hypersachs.digraph import is_eulerian
+from hypersachs.errors import NotEulerian, SizeExceeded
 from hypersachs.hypergraph import MultiHypergraph, components, is_connected, is_veblen
 
 
@@ -48,6 +51,39 @@ def disjoint_union(H1, H2):
     for e, m in H2.edges:
         edges.append((tuple(v + shift for v in e), m))
     return MultiHypergraph.build(H1.k, H1.n + H2.n, edges)
+
+
+def euler_circuit_count_bruteforce(D, max_arcs=10):
+    """Oracle: exhaustively enumerate Euler tours (distinguishable arc copies)
+    and divide by the tour length to collapse rotations."""
+    if not is_eulerian(D):
+        raise NotEulerian("Euler circuit count requires a balanced, connected digraph")
+    total_arcs = D.arc_count
+    if total_arcs > max_arcs:
+        raise SizeExceeded(f"brute-force circuit count limited to {max_arcs} arcs")
+    support = D.non_isolated
+    out_by_vertex = {v: [] for v in support}
+    for (u, v), _ in D.arcs:
+        out_by_vertex[u].append((u, v))
+    remaining = {arc: m for arc, m in D.arcs}
+
+    def walks(current, left, start):
+        if left == 0:
+            return 1 if current == start else 0
+        total = 0
+        for arc in out_by_vertex[current]:
+            if remaining[arc] > 0:
+                remaining[arc] -= 1
+                total += walks(arc[1], left - 1, start)
+                remaining[arc] += 1
+        return total
+
+    pointed = sum(walks(s, total_arcs, s) for s in support)
+    for _, m in D.arcs:
+        pointed *= factorial(m)
+    circuits, rem = divmod(pointed, total_arcs)
+    assert rem == 0, "pointed tour count must be divisible by the tour length"
+    return circuits
 
 
 # ----------------------------------------------------------------------
@@ -259,3 +295,117 @@ def scan_infragraph_classes(host, d):
         hit = out.setdefault(canonical_form(rep), [rep, 0])
         hit[1] += 1
     return out
+
+
+# ----------------------------------------------------------------------
+# Exhaustive canonical-labeling oracle.
+#
+# The single-refinement search the package used before individualization-
+# refinement: colours are refined once at the root, and every relabeling
+# compatible with them is tried, with prefix pruning against the least
+# encoding.  It counts |Aut| by visiting every leaf that attains the minimum,
+# so it is limited to ORACLE_VERTICES vertices.  Its codes are whole-graph
+# encodings (components are not split), so tests compare the partition into
+# classes it induces, not its bytes.
+
+ORACLE_VERTICES = 8
+
+
+def _oracle_refine_colors(verts, edge_items):
+    """Iterated structural coloring; returns vertex -> color id with color ids
+    numbered in a relabeling-invariant order."""
+    deg = {v: 0 for v in verts}
+    for e, m in edge_items:
+        for v in e:
+            deg[v] += m
+    ranks = {c: i for i, c in enumerate(sorted({deg[v] for v in verts}))}
+    colors = {v: ranks[deg[v]] for v in verts}
+    ncolors = len(ranks)
+    while True:
+        keys = {}
+        for v in verts:
+            incident = []
+            for e, m in edge_items:
+                if v in e:
+                    incident.append((m, tuple(sorted(colors[w] for w in e if w != v))))
+            keys[v] = (colors[v], tuple(sorted(incident)))
+        ranks = {c: i for i, c in enumerate(sorted(set(keys.values())))}
+        colors = {v: ranks[keys[v]] for v in verts}
+        if len(ranks) == ncolors:
+            return colors
+        ncolors = len(ranks)
+
+
+def oracle_canon(H):
+    """(code, |Aut|) of H on its non-isolated vertices: the minimal
+    position-blocked edge encoding and the number of relabelings attaining it."""
+    verts = H.non_isolated
+    m = len(verts)
+    if m > ORACLE_VERTICES:
+        raise ValueError(f"the oracle is limited to {ORACLE_VERTICES} vertices, got {m}")
+    if m == 0:
+        return ((H.k, ()), 1)
+    edge_items = [(frozenset(e), mult) for e, mult in H.edges]
+    colors = _oracle_refine_colors(verts, edge_items)
+    cell_map = {}
+    for v in verts:
+        cell_map.setdefault(colors[v], []).append(v)
+    cells = [sorted(cell_map[c]) for c in sorted(cell_map)]
+
+    # per-edge count of still-unlabeled endpoints; an edge joins the encoding
+    # at the position that drops its count to zero
+    need = [len(e) for e, _ in edge_items]
+    incident_idx = {v: [] for v in verts}
+    for idx, (e, _) in enumerate(edge_items):
+        for v in e:
+            incident_idx[v].append(idx)
+
+    best = None
+    aut = 0
+    label = {}
+    used = set()
+
+    def rec(ci, left_in_cell, pos, blocks, tied):
+        nonlocal best, aut
+        if left_in_cell == 0:
+            ci += 1
+            if ci == len(cells):
+                if best is None or blocks < best:
+                    best = blocks[:]
+                    aut = 1
+                elif blocks == best:
+                    aut += 1
+                return
+            left_in_cell = len(cells[ci])
+        for v in cells[ci]:
+            if v in used:
+                continue
+            label[v] = pos
+            used.add(v)
+            block = []
+            for idx in incident_idx[v]:
+                need[idx] -= 1
+                if need[idx] == 0:
+                    e, mult = edge_items[idx]
+                    block.append((tuple(sorted(label[w] for w in e)), mult))
+            block.sort()
+            blk = tuple(block)
+            now_tied = tied
+            prune = False
+            if now_tied and best is not None:
+                ref = best[pos]
+                if blk > ref:
+                    prune = True
+                elif blk < ref:
+                    now_tied = False
+            if not prune:
+                blocks.append(blk)
+                rec(ci, left_in_cell - 1, pos + 1, blocks, now_tied)
+                blocks.pop()
+            for idx in incident_idx[v]:
+                need[idx] += 1
+            used.discard(v)
+            del label[v]
+
+    rec(0, len(cells[0]), 0, [], True)
+    return ((H.k, m, tuple(best)), aut)

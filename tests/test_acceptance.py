@@ -118,6 +118,22 @@ def test_plane_row_under_python_O(tmp_path):
     assert row == ROWS_12["F"][:10]
 
 
+def test_no_assert_in_package_source():
+    # python -O strips asserts, so invariants in the package raise errors
+    import ast
+
+    src = Path(hypersachs.__file__).resolve().parent
+    files = sorted(src.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 @pytest.mark.extended
 def test_criterion_1_extended_codegree_12():
     start = time.monotonic()

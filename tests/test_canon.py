@@ -1,14 +1,18 @@
 """Canonical codes and automorphism counts."""
 
+import random
+from functools import reduce
+from itertools import combinations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import graph2
+from helpers import ORACLE_VERTICES, disjoint_union, graph2, oracle_canon
 from hypersachs.canon import (
     VERTEX_BOUND,
     automorphisms,
+    canon_and_aut,
     canonical_form,
     clear_caches,
 )
@@ -26,6 +30,22 @@ from hypersachs.hypergraph import MultiHypergraph
 # flat-to-multigraph automorphism ratios for the reference classes; 1 unless
 # collapsing multiplicities genuinely gains symmetry
 RATIO = {"v6_3": 2, "v6_8": 2, "v9_2": 2, "v12_1": 2, "v12_3": 3, "v12_4": 3}
+
+
+def union(*parts):
+    """Vertex-disjoint union of the parts, each shifted past the previous."""
+    return reduce(disjoint_union, parts)
+
+
+def simplex(k):
+    """The k-uniform simplex: every k-subset of k+1 vertices."""
+    return MultiHypergraph.build(k, k + 1, list(combinations(range(1, k + 2), k)))
+
+
+def relabel(H, rng):
+    perm = list(range(1, H.n + 1))
+    rng.shuffle(perm)
+    return H.relabeled({v: perm[v - 1] for v in range(1, H.n + 1)}, H.n)
 
 
 def test_codes_distinguish_the_two_five_edge_classes():
@@ -51,6 +71,10 @@ def test_code_ignores_isolated_vertices_and_labels():
         (cycle_graph(5), 10),
         (path_graph(3), 2),
         (graph2(2, [((1, 2), 2)]), 2),
+        (simplex(7), 40320),
+        (MultiHypergraph.build(3, 6, list(combinations(range(1, 7), 3))), 720),
+        (union(*[single_edge(3)] * 5), factorial(5) * 6**5),
+        (union(fano_plane(), fano_plane()), 2 * 168**2),
     ],
 )
 def test_automorphism_counts(H, expect):
@@ -78,11 +102,63 @@ def test_vertex_bound_enforced():
         canonical_form(big)
 
 
+def test_vertex_bound_is_per_component():
+    # six disjoint edges span 18 vertices, each component only 3
+    H = union(*[single_edge(3)] * 6)
+    code, aut = canon_and_aut(H)
+    assert aut == factorial(6) * 6**6
+    assert code != canonical_form(union(*[single_edge(3)] * 5))
+
+
+def test_union_codes_never_equal_connected_codes():
+    two = union(single_edge(3), single_edge(3))
+    joined = MultiHypergraph.build(3, 6, [(1, 2, 3), (4, 5, 6), (1, 2, 4)])
+    codes = {canonical_form(two), canonical_form(single_edge(3, mult=2)), canonical_form(joined)}
+    assert len(codes) == 3
+    # a single component with isolated vertices keeps its connected code
+    assert canonical_form(MultiHypergraph.build(3, 5, [(2, 3, 5)])) == canonical_form(single_edge(3))
+
+
 def test_clear_caches_is_idempotent():
     canonical_form(fano_plane())
     clear_caches()
     clear_caches()
     assert automorphisms(fano_plane()).aut_count == 168
+
+
+@st.composite
+def multi_3graphs(draw):
+    """Multi 3-graphs on at most ORACLE_VERTICES vertices, connected or not,
+    some with repeated components, randomly relabeled."""
+    pieces = []
+    room = ORACLE_VERTICES
+    while room >= 3 and (not pieces or draw(st.booleans())):
+        n = draw(st.integers(3, min(room, 6)))
+        triple = st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True)
+        edges = draw(st.lists(st.tuples(triple, st.integers(1, 3)), min_size=1, max_size=6))
+        piece = MultiHypergraph.build(3, n, [(tuple(e), m) for e, m in edges])
+        repeats = draw(st.integers(1, room // n))
+        pieces += [piece] * repeats
+        room -= n * repeats
+    H = union(*pieces)
+    return relabel(H, random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(multi_3graphs(), min_size=2, max_size=5), st.randoms(use_true_random=False))
+def test_search_matches_exhaustive_oracle(graphs, rng):
+    # the same partition into classes as the old exhaustive search, and the
+    # same |Aut|; codes and |Aut| do not move under relabeling
+    graphs += [relabel(H, rng) for H in graphs]
+    new = [canon_and_aut(H) for H in graphs]
+    old = [oracle_canon(H) for H in graphs]
+    for (_, aut), (_, want) in zip(new, old):
+        assert aut == want
+    for i in range(len(graphs)):
+        for j in range(len(graphs)):
+            assert (new[i][0] == new[j][0]) == (old[i][0] == old[j][0])
+    half = len(graphs) // 2
+    assert new[:half] == new[half:]
 
 
 small_hypergraphs = st.lists(

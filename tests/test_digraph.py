@@ -4,15 +4,15 @@ import random
 
 import pytest
 
+from helpers import euler_circuit_count_bruteforce
 from hypersachs.digraph import (
     MultiDigraph,
     arborescence_count,
     euler_circuit_count,
-    euler_circuit_count_bruteforce,
     is_eulerian,
 )
-from hypersachs.errors import DomainError, SizeExceeded
-from hypersachs.linalg import bareiss_det, charpoly_int
+from hypersachs.errors import DomainError, NormalizationFailure, SizeExceeded
+from hypersachs.linalg import bareiss_det, charpoly_int, poly_exact_div, poly_mul
 
 
 def D(*arcs):
@@ -128,3 +128,12 @@ def test_charpoly_trace_and_det_slots():
 def test_bareiss_det_anchors():
     assert bareiss_det([[1, 2], [2, 4]]) == 0
     assert bareiss_det([[2, 0, 1], [1, 3, 2], [0, 1, 1]]) == 3
+
+
+def test_poly_exact_div_raises_on_a_remainder():
+    assert poly_exact_div(poly_mul([1, -1], [2, 3]), [1, -1]) == [2, 3]
+    # a package error, not an assert, so the check survives python -O
+    with pytest.raises(NormalizationFailure):
+        poly_exact_div([1, 0, 1], [1, -1])
+    with pytest.raises(NormalizationFailure):
+        poly_exact_div([1, 0], [2, 1])

@@ -75,6 +75,8 @@ def test_with_multiplicities_subgraph():
     S = H.with_multiplicities((2, 0))
     assert S.edges == (((1, 2, 3), 2),)
     assert S.n == H.n
+    with pytest.raises(DomainError):
+        H.with_multiplicities((2,))
 
 
 def test_components_split_disjoint_union():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -136,6 +137,21 @@ def test_breakdown_sums_to_coefficients():
     for d, entries in table.breakdown.items():
         assert sum((v for _, v in entries), F(0)) == table.coefficient(d)
     assert len(table.breakdown[3]) == 1  # only the tripled edge contributes
+
+
+def test_single_edge_breakdown_past_the_vertex_bound():
+    # Cooper & Dutle: the single 3-edge has c_3t = (-1)^t C(3, t) and every
+    # other coefficient 0; its breakdown at d=18 holds a union of six
+    # components on 18 vertices, past the per-component bound of 16
+    table = codegree_coefficients(EDGE, 18, with_breakdown=True)
+    want = [(-1) ** (d // 3) * comb(3, d // 3) if d % 3 == 0 else 0 for d in range(19)]
+    assert list(table.coefficients) == want
+    for d, entries in table.breakdown.items():
+        assert sum((v for _, v in entries), F(0)) == table.coefficient(d)
+    # a class with 18 edges is a union of tripled-or-less edges whose
+    # multiplicities partition 6: eleven classes, six single edges among them
+    codes = [code for code, _ in table.breakdown[18]]
+    assert len(set(codes)) == len(codes) == 11
 
 
 def test_breakdown_mismatch_raises_consistency_failure(monkeypatch):
