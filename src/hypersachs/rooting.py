@@ -1,15 +1,17 @@
-"""Euler orientations of Veblen hypergraphs and their associated coefficients.
+"""Class weights of Veblen hypergraphs, summed over their Euler rootings.
 
 A rooting orients every edge copy as a star pointing away from a chosen root
 vertex.  Because the union of the stars must be balanced, each vertex v roots
-exactly deg(v)/k copies, so a rooting is determined by choosing, for every
-distinct edge e, how many of its copies each vertex of e roots.  One such
-per-edge root-count assignment corresponds to
+exactly q_v = deg(v)/k copies and has in-degree (k-1) q_v, so a rooting is
+determined by choosing, for every distinct edge e, how many of its copies each
+vertex of e roots.  One such per-edge root-count assignment stands for
 
-    prod_v r_v! / prod_{e,v} c_e(v)!
+    prod_v q_v! / prod_{e,v} c_e(v)!
 
 distinct rootings (sequences of rooted stars sorted by root), all yielding the
-same digraph; orientations are deduplicated and carry that multiplicity.
+same digraph.  `assoc_coeff_connected` sums the weight per assignment, reading
+the arborescence count off the out-degree Laplacian of the star union; only
+`euler_orientations` merges assignments into distinct digraphs.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .canon import CanonicalCode, canonical_form
-from .digraph import MultiDigraph, arborescence_count, is_eulerian
+from .digraph import MultiDigraph, is_eulerian
 from .errors import ConsistencyFailure, NormalizationFailure, NotConnected, NotVeblen
 from .hypergraph import MultiHypergraph, components, is_connected, is_veblen
+from .linalg import bareiss_det
 
 
 @dataclass(frozen=True)
@@ -37,113 +40,110 @@ class EulerOrientation:
     multiplicity: int
 
 
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every tuple of `parts` nonnegative integers summing to `total`, in lex order."""
+    if parts == 1:
+        return [(total,)]
+    return [(c,) + rest for c in range(total + 1) for rest in _compositions(total - c, parts - 1)]
+
+
 def _root_count_assignments(H: MultiHypergraph):
     """Yield all per-edge root-count assignments meeting every vertex quota."""
     verts = H.non_isolated
+    index = {v: i for i, v in enumerate(verts)}
     deg = H.degrees()
-    quota = {v: deg[v] // H.k for v in verts}
-    edges = list(H.edges)
-    # capacity[i][v]: total copies of edges i.. that contain v; used to prune
-    # assignments that can no longer meet a quota
-    capacity = [dict.fromkeys(verts, 0) for _ in range(len(edges) + 1)]
-    for i in range(len(edges) - 1, -1, -1):
-        e, m = edges[i]
-        for v in verts:
-            capacity[i][v] = capacity[i + 1][v] + (m if v in e else 0)
-    assigned = dict.fromkeys(verts, 0)
+    need = [deg[v] // H.k for v in verts]
+    edges = [(tuple(index[v] for v in e), m) for e, m in H.edges]
+    # left[i][v]: total copies of edges after i that contain v; vertex v can
+    # still meet its quota only while need[v] <= left[i][v]
+    left = [[0] * len(verts)]
+    for e, m in reversed(edges[1:]):
+        left.append([x + m if v in e else x for v, x in enumerate(left[-1])])
+    left.reverse()
+    comps = [_compositions(m, len(e)) for e, m in edges]
     chosen: list[tuple[int, ...]] = []
-
-    def compositions(vs: tuple[int, ...], total: int, limits: list[int]):
-        if len(vs) == 1:
-            if total <= limits[0]:
-                yield (total,)
-            return
-        for c in range(min(total, limits[0]) + 1):
-            for rest in compositions(vs[1:], total - c, limits[1:]):
-                yield (c,) + rest
 
     def rec(i: int):
         if i == len(edges):
             yield tuple(chosen)
             return
-        e, m = edges[i]
-        limits = [quota[v] - assigned[v] for v in e]
-        for combo in compositions(e, m, limits):
-            ok = True
-            for v, c in zip(e, combo):
-                assigned[v] += c
-            for v in verts:
-                if assigned[v] + capacity[i + 1][v] < quota[v]:
-                    ok = False
-                    break
-            if ok:
+        e, cap = edges[i][0], left[i]
+        for combo in comps[i]:
+            # only the vertices of e change their need or capacity
+            if all(need[v] - cap[v] <= c <= need[v] for v, c in zip(e, combo)):
+                for v, c in zip(e, combo):
+                    need[v] -= c
                 chosen.append(combo)
                 yield from rec(i + 1)
                 chosen.pop()
-            for v, c in zip(e, combo):
-                assigned[v] -= c
-        return
+                for v, c in zip(e, combo):
+                    need[v] += c
 
     yield from rec(0)
+
+
+def _rooted_unions(H: MultiHypergraph):
+    """For every root-count assignment of a connected Veblen hypergraph, yield
+    the number of rootings it stands for and the out-degree Laplacian of their
+    star union, indexed like H.non_isolated."""
+    if not is_veblen(H):
+        raise NotVeblen("rootings are defined for Veblen hypergraphs only")
+    if not is_connected(H):
+        raise NotConnected("rootings require a connected hypergraph")
+    verts = H.non_isolated
+    index = {v: i for i, v in enumerate(verts)}
+    quota_factorial = prod(factorial(d // H.k) for d in H.degrees().values())
+    edges = [tuple(index[v] for v in e) for e, _ in H.edges]
+    for assignment in _root_count_assignments(H):
+        lap = [[0] * len(verts) for _ in verts]
+        copies = 1
+        for e, combo in zip(edges, assignment):
+            for root, c in zip(e, combo):
+                if c:
+                    # c copies of e rooted at `root`: c arcs to each other vertex
+                    copies *= factorial(c)
+                    row = lap[root]
+                    for w in e:
+                        row[w] -= c
+                    row[root] += H.k * c
+        count, rem = divmod(quota_factorial, copies)
+        if rem:
+            raise NormalizationFailure(f"rooting multiplicity {quota_factorial}/{copies} is not integral")
+        yield count, lap
 
 
 def euler_orientations(H: MultiHypergraph) -> tuple[EulerOrientation, ...]:
     """The distinct Eulerian digraphs over all rootings of a connected Veblen
     hypergraph, each carrying the number of rootings that produce it."""
-    if not is_veblen(H):
-        raise NotVeblen("rootings are defined for Veblen hypergraphs only")
-    if not is_connected(H):
-        raise NotConnected("euler_orientations requires a connected hypergraph")
     verts = H.non_isolated
-    deg = H.degrees()
-    quota = {v: deg[v] // H.k for v in verts}
-    quota_factorial = prod(factorial(q) for q in quota.values())
-    root_counts = tuple(sorted(quota.items()))
-
     by_arcs: dict[tuple, int] = {}
-    for assignment in _root_count_assignments(H):
-        denom = 1
-        arcs: dict[tuple[int, int], int] = {}
-        for (e, _), combo in zip(H.edges, assignment):
-            for root, c in zip(e, combo):
-                if c == 0:
-                    continue
-                denom *= factorial(c)
-                for w in e:
-                    if w != root:
-                        arcs[(root, w)] = arcs.get((root, w), 0) + c
-        weight, rem = divmod(quota_factorial, denom)
-        if rem:
-            raise NormalizationFailure(f"rooting multiplicity {quota_factorial}/{denom} is not integral")
-        key = tuple(sorted(arcs.items()))
-        by_arcs[key] = by_arcs.get(key, 0) + weight
-
+    for count, lap in _rooted_unions(H):
+        # the arcs u -> w are the negative off-diagonal entries, in sorted order
+        key = tuple(((verts[u], verts[w]), -x)
+                    for u, row in enumerate(lap) for w, x in enumerate(row) if x < 0)
+        by_arcs[key] = by_arcs.get(key, 0) + count
+    root_counts = tuple((v, d // H.k) for v, d in H.degrees().items() if d)
     out = []
     for key in sorted(by_arcs):
         D = MultiDigraph(vertices=verts, arcs=key)
         if not is_eulerian(D):
             raise ConsistencyFailure("rooted star union is not Eulerian")
-        out.append(
-            EulerOrientation(digraph=D, root_counts=root_counts, multiplicity=by_arcs[key])
-        )
+        out.append(EulerOrientation(digraph=D, root_counts=root_counts, multiplicity=by_arcs[key]))
     return tuple(out)
 
 
 def assoc_coeff_connected(H: MultiHypergraph) -> Fraction:
-    """Associated coefficient of a connected Veblen hypergraph:
-    sum over rootings of (arborescence count of the orientation) divided by
-    the product of in-degrees."""
-    orientations = euler_orientations(H)
-    if not orientations:
-        return Fraction(0)
-    indeg = orientations[0].digraph.in_degrees()
-    denom = prod(d for d in indeg.values())
+    """Associated coefficient of a connected Veblen hypergraph: the sum over
+    rootings of the arborescence count of the rooted star union, divided by
+    the product of in-degrees (k-1) q_v."""
     total = 0
-    for orient in orientations:
-        support = orient.digraph.non_isolated
-        tau = arborescence_count(orient.digraph, support[0])
-        total += orient.multiplicity * tau
-    return Fraction(total, denom)
+    for count, lap in _rooted_unions(H):
+        # a balanced union (columns sum to 0) has tau > 0 iff it is connected
+        tau = bareiss_det([row[1:] for row in lap[1:]])
+        if tau <= 0 or any(map(sum, zip(*lap))):
+            raise ConsistencyFailure("rooted star union is not Eulerian")
+        total += count * tau
+    return Fraction(total, prod((H.k - 1) * d // H.k for d in H.degrees().values() if d))
 
 
 _coeff_memo: dict[CanonicalCode, Fraction] = {}

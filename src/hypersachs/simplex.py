@@ -9,11 +9,13 @@ count factors over cycle lengths l as (k^l + (-1)^{l+1}), up to division by
     C_k = [ sum over derangements of prod_cycles (k^l + (-1)^{l+1}) ]
           / ((k-1)(k+1)^2)
 
-computed here either by grouping derangements by cycle type (partitions with
-parts >= 2) or by an exponential-formula recurrence that avoids enumerating
-partitions altogether.  The divisor (k-1)(k+1)^2 reproduces every published
-value; printed variants that drop a (k+1) do not, and the normalization is
-checked (NormalizationFailure on inexact division).
+By the exponential formula the bracketed sum is m! [x^m] of
+(1+x) e^{-mx} / (1-kx) with m = k+1, a sum of m terms taken here in O(k)
+big-integer steps.  Where the cycle types (partitions with parts >= 2) are
+few enough, the sum is also taken type by type and both must agree.  The
+divisor (k-1)(k+1)^2 reproduces every published value; printed variants that
+drop a (k+1) do not, and the normalization is checked (NormalizationFailure
+on inexact division).
 """
 
 from __future__ import annotations
@@ -104,18 +106,15 @@ def cycle_factor(k: int, length: int) -> int:
 
 
 def _derangement_cycle_sum(k: int) -> int:
-    """sum over derangements of [k+1] of prod_cycles cycle_factor, via the
-    exponential-formula recurrence Q_d = sum_j f(j) (d-1)!/(d-j)! Q_{d-j}."""
+    """sum over derangements of [m], m = k+1, of prod_cycles cycle_factor:
+    m! [x^m] (1+x) e^{-mx} / (1-kx), evaluated by Horner's rule in k as
+    (-m)^m + m * sum_{i<m} (m!/i!) (-m)^i k^{m-1-i}."""
     m = k + 1
-    Q = [0] * (m + 1)
-    Q[0] = 1
-    fact = [factorial(i) for i in range(m + 1)]
-    for d in range(2, m + 1):
-        acc = 0
-        for j in range(2, d + 1):
-            acc += cycle_factor(k, j) * (fact[d - 1] // fact[d - j]) * Q[d - j]
-        Q[d] = acc
-    return Q[m]
+    acc, b = 0, factorial(m)
+    for i in range(m):
+        acc = acc * k + b
+        b = b * -m // (i + 1)
+    return (-m) ** m + m * acc
 
 
 def _min2_partition_count(m: int) -> int:
@@ -138,7 +137,7 @@ def simplex_Ck(k: int) -> SimplexCoefficientReport:
     """Full report for the simplex constant C_k, 2 <= k <= 1000.
 
     Per-partition contributions are included when the number of cycle types is
-    at most CONTRIBUTION_CAP; their sum is checked against the recurrence.
+    at most CONTRIBUTION_CAP; their sum is checked against the closed form.
     """
     if not 2 <= k <= MAX_K:
         raise DomainError(f"k must be in 2..{MAX_K}, got {k}")
@@ -160,7 +159,7 @@ def simplex_Ck(k: int) -> SimplexCoefficientReport:
             total += contr
         if total != S:
             raise ConsistencyFailure(
-                f"cycle-type contributions sum to {total}, not the recurrence value {S}"
+                f"cycle-type contributions sum to {total}, not the closed-form value {S}"
             )
         contributions = tuple(entries)
     return SimplexCoefficientReport(

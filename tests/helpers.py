@@ -1,15 +1,18 @@
 """Builders and the test-only oracles shared across test modules: Euler
-circuits by brute force, the walk expansion, the composition scan and the
+circuits by brute force, the walk expansion, class weights over listed
+orientations, the simplex recurrence, the composition scan and the
 exhaustive canonical-labeling search."""
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 
 from hypersachs.canon import canonical_form
-from hypersachs.digraph import is_eulerian
+from hypersachs.digraph import arborescence_count, is_eulerian
 from hypersachs.errors import NotEulerian, SizeExceeded
 from hypersachs.hypergraph import MultiHypergraph, components, is_connected, is_veblen
+from hypersachs.rooting import euler_orientations
+from hypersachs.simplex import cycle_factor
 
 
 def graph2(n, edges):
@@ -84,6 +87,39 @@ def euler_circuit_count_bruteforce(D, max_arcs=10):
     circuits, rem = divmod(pointed, total_arcs)
     assert rem == 0, "pointed tour count must be divisible by the tour length"
     return circuits
+
+
+def orientation_weight(H):
+    """Oracle for rooting.assoc_coeff_connected: the weight summed over the
+    distinct orientations that euler_orientations lists, each carrying its
+    rooting multiplicity times an arborescence count from digraph, over the
+    product of in-degrees.  It shares the root-count walk and the star-union
+    construction with the package; the walk expansion below shares neither."""
+    orientations = euler_orientations(H)
+    if not orientations:
+        return Fraction(0)
+    denom = prod(orientations[0].digraph.in_degrees().values())
+    total = 0
+    for orient in orientations:
+        root = orient.digraph.non_isolated[0]
+        total += orient.multiplicity * arborescence_count(orient.digraph, root)
+    return Fraction(total, denom)
+
+
+def derangement_cycle_sum_recurrence(k):
+    """Oracle for simplex._derangement_cycle_sum: the sum over derangements
+    of [k+1] of prod_cycles cycle_factor, by the O(k^2) exponential-formula
+    recurrence Q_d = sum_j f(j) (d-1)!/(d-j)! Q_{d-j}."""
+    m = k + 1
+    Q = [0] * (m + 1)
+    Q[0] = 1
+    fact = [factorial(i) for i in range(m + 1)]
+    for d in range(2, m + 1):
+        acc = 0
+        for j in range(2, d + 1):
+            acc += cycle_factor(k, j) * (fact[d - 1] // fact[d - j]) * Q[d - j]
+        Q[d] = acc
+    return Q[m]
 
 
 # ----------------------------------------------------------------------

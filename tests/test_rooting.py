@@ -1,16 +1,18 @@
 """Associated coefficients via rootings: pinned values and invariants.
 
 The reference values were cross-checked against independent routes
-(trail counting at k=2, the simplex recurrence, and the walk-expansion
+(trail counting at k=2, the simplex closed form, and the walk-expansion
 oracle in helpers.py), so they serve as the anchor set for everything
 downstream.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import disjoint_union, graph2
+from helpers import disjoint_union, graph2, orientation_weight
 from hypersachs.catalog import (
     REFERENCE_VEBLEN,
     complete_kgraph,
@@ -20,9 +22,10 @@ from hypersachs.catalog import (
 )
 from hypersachs.digraph import is_eulerian
 from hypersachs import rooting
-from hypersachs.errors import ConsistencyFailure, NotConnected, NotVeblen
-from hypersachs.hypergraph import MultiHypergraph
+from hypersachs.errors import ConsistencyFailure, NormalizationFailure, NotConnected, NotVeblen
+from hypersachs.hypergraph import MultiHypergraph, is_connected, is_veblen
 from hypersachs.rooting import assoc_coeff, assoc_coeff_connected, euler_orientations
+from hypersachs.veblen_enum import enumerate_connected_veblen
 
 F = Fraction
 
@@ -74,11 +77,12 @@ def test_coefficient_anchors(H, expect):
     assert assoc_coeff(H) == expect
 
 
+def doubled_fano():
+    return MultiHypergraph.build(3, 7, [(e, 2 * m) for e, m in fano_plane().edges])
+
+
 def test_doubled_fano_coefficient():
-    doubled = MultiHypergraph.build(
-        3, 7, [(e, 2 * m) for e, m in fano_plane().edges]
-    )
-    assert assoc_coeff_connected(doubled) == F(30501, 32)
+    assert assoc_coeff_connected(doubled_fano()) == F(30501, 32)
 
 
 def test_multiplicative_over_components():
@@ -139,3 +143,75 @@ def test_non_eulerian_star_union_raises(monkeypatch):
     monkeypatch.setattr(rooting, "is_eulerian", lambda D: False)
     with pytest.raises(ConsistencyFailure):
         euler_orientations(complete_kgraph(3))
+
+
+@pytest.mark.parametrize("k,max_d", [(3, 6), (4, 5), (2, 6)])
+def test_weight_matches_orientation_oracle_on_free_classes(k, max_d):
+    for d in range(1, max_d + 1):
+        for record in enumerate_connected_veblen(k, d):
+            G = record.representative
+            assert assoc_coeff_connected(G) == orientation_weight(G)
+
+
+@pytest.mark.parametrize("H", [complete_kgraph(k) for k in range(3, 7)] + [doubled_fano()])
+def test_weight_matches_orientation_oracle_on_simplices_and_doubled_fano(H):
+    assert assoc_coeff_connected(H) == orientation_weight(H)
+
+
+@st.composite
+def connected_veblen_3graphs(draw):
+    """A connected Veblen sub-multigraph of a random multi 3-graph on at
+    most 6 vertices with at most 6 distinct edges, preferring those with
+    more than one distinct edge."""
+    n = draw(st.integers(4, 6))
+    triples = list(combinations(range(1, n + 1), 3))
+    edges = draw(st.lists(st.sampled_from(triples), min_size=2, max_size=6, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+    candidates = []
+    for sub in product(*(range(m + 1) for m in mults)):
+        G = MultiHypergraph.build(3, n, [(e, c) for e, c in zip(edges, sub) if c])
+        if G.edges and is_veblen(G) and is_connected(G):
+            candidates.append(G)
+    rich = [G for G in candidates if len(G.edges) > 1]
+    return draw(st.sampled_from(rich or candidates or [single_edge(3, mult=3)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_veblen_3graphs())
+def test_weight_matches_orientation_oracle_on_random_3graphs(G):
+    assert assoc_coeff_connected(G) == orientation_weight(G)
+
+
+def test_weight_never_lists_orientations(monkeypatch):
+    def refuse(H):
+        raise AssertionError("assoc_coeff_connected must not list orientations")
+
+    monkeypatch.setattr(rooting, "euler_orientations", refuse)
+    rooting.clear_caches()
+    assert assoc_coeff_connected(complete_kgraph(4)) == F(588, 3 ** 4)
+    assert assoc_coeff(fano_plane()) == F(87, 16)
+
+
+def test_zero_arborescence_count_raises(monkeypatch):
+    # a balanced union with no spanning arborescence is not connected
+    monkeypatch.setattr(rooting, "bareiss_det", lambda matrix: 0)
+    with pytest.raises(ConsistencyFailure):
+        assoc_coeff_connected(complete_kgraph(3))
+
+
+def test_unbalanced_assignment_raises(monkeypatch):
+    # edges 123, 124, 134, 234 rooted at 2, 4, 3, 2: vertex 1 roots nothing
+    # but receives three arcs, while 2, 3 and 4 all reach it (tau > 0)
+    unbalanced = ((0, 1, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+    monkeypatch.setattr(rooting, "_root_count_assignments", lambda H: iter([unbalanced]))
+    with pytest.raises(ConsistencyFailure):
+        assoc_coeff_connected(complete_kgraph(3))
+
+
+def test_non_integral_multiplicity_raises(monkeypatch):
+    # every quota of the tetrahedron is 1, so prod q_v! = 1 cannot be divided
+    # by the 2! of an edge rooted twice at one vertex
+    doubled_root = ((2, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+    monkeypatch.setattr(rooting, "_root_count_assignments", lambda H: iter([doubled_root]))
+    with pytest.raises(NormalizationFailure):
+        assoc_coeff_connected(complete_kgraph(3))

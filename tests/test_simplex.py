@@ -1,17 +1,21 @@
 """Simplex coefficients, derangement cycle types, spectrum predictions."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import derangement_cycle_sum_recurrence
 from hypersachs.catalog import complete_kgraph
 from hypersachs.digraph import arborescence_count, is_eulerian
 from hypersachs.errors import DomainError
 from hypersachs.linalg import charpoly_int
 from hypersachs.rooting import assoc_coeff_connected
 from hypersachs.simplex import (
+    MAX_K,
     PartitionMin2,
+    _derangement_cycle_sum,
     cycle_factor,
     derangements_by_type,
     partitions_min2,
@@ -176,6 +180,22 @@ def test_asymptotic_ratio_strings():
 
 def test_large_value_prefix():
     assert str(simplex_Ck(100).C_k).startswith("3433452419824795908447767175")
+
+
+@pytest.mark.parametrize("k", list(range(2, 121)) + [400])
+def test_closed_form_matches_recurrence(k):
+    assert _derangement_cycle_sum(k) == derangement_cycle_sum_recurrence(k)
+
+
+def test_max_k_boundary():
+    # recorded once from the O(k^2) recurrence (about 23 s); C_k has 5565
+    # decimal digits, past the default int-to-str limit, so its hex is hashed
+    report = simplex_Ck(MAX_K)
+    assert report.asymptotic_ratio == "3.67512113121E-10"
+    assert hashlib.sha256(hex(report.C_k).encode()).hexdigest() == (
+        "6598c54f1c5c0dbb690f012b57c4dab6245d0fd861e05e971cbfa45321c07972"
+    )
+    assert report.contributions is None
 
 
 def test_domain_bounds():
