@@ -7,6 +7,7 @@ contribution table for a single arity.
 
 import argparse
 
+from hypersachs.formats import rational_str
 from hypersachs.simplex import simplex_Ck
 
 
@@ -20,8 +21,8 @@ def main() -> None:
 
     for k in range(args.min_k, args.max_k + 1):
         rep = simplex_Ck(k)
-        digits = len(str(rep.C_k))
-        print(f"k={k:<4d} C_k = {rep.C_k}  ({digits} digits, "
+        text = rational_str(rep.C_k)
+        print(f"k={k:<4d} C_k = {text}  ({len(text)} digits, "
               f"ratio {rep.asymptotic_ratio})")
 
     if args.detail is not None:

@@ -13,9 +13,9 @@ least leaf code.
 Two leaves with equal codes differ by an automorphism.  Automorphisms prune
 the search twice: a child of a node on the first path is skipped when its
 vertex lies in the orbit of a child already explored, and a subtree is left
-as soon as one of its leaves matches the first or the best leaf.  |Aut| is
-the product of the orbit sizes of the first path's vertices under the
-automorphisms found (orbit-stabilizer), so no leaf is counted.
+as soon as one of its leaves matches the first or the best leaf.  The
+automorphisms found generate Aut, and `_search` returns them; |Aut| is the
+product of the first path's orbit sizes under them (orbit-stabilizer).
 
 A disconnected graph's code is the sorted multiset of its component codes,
 marked so that it never equals a connected code.  Its |Aut| is the product
@@ -76,8 +76,9 @@ def _refine(col: list[int], ncells: int, edges, inc) -> tuple[list[int], int]:
     return col, ncells
 
 
-def _search(m: int, edges) -> tuple[tuple, int]:
-    """Least leaf code and |Aut| of a connected graph on vertices 0..m-1."""
+def _search(m: int, edges) -> tuple[tuple, int, list[tuple[int, ...]]]:
+    """Least leaf code, |Aut| and generators of Aut (tuples of vertex images)
+    of a connected graph on vertices 0..m-1, whose edge labels are comparable."""
     inc: list[list[int]] = [[] for _ in range(m)]
     for i, (e, _) in enumerate(edges):
         for v in e:
@@ -93,6 +94,7 @@ def _search(m: int, edges) -> tuple[tuple, int]:
     first: list = []  # [code, colouring, path] of the first leaf
     best: list = []  # the same for the least leaf so far
     aut = 1
+    gens: list[tuple[int, ...]] = []
 
     def leaf(col: list[int], path: list[int]) -> int | None:
         """Compare a leaf; on a match with the first or best leaf, record the
@@ -106,8 +108,9 @@ def _search(m: int, edges) -> tuple[tuple, int]:
                 at = [0] * m
                 for u, c in enumerate(col):
                     at[c] = u
-                for u, c in enumerate(ref[1]):
-                    orbit[find(u)] = find(at[c])
+                gens.append(tuple(at[c] for c in ref[1]))
+                for u, v in enumerate(gens[-1]):
+                    orbit[find(u)] = find(v)
                 depth = 0
                 while path[depth] == ref[2][depth]:
                     depth += 1
@@ -142,7 +145,7 @@ def _search(m: int, edges) -> tuple[tuple, int]:
 
     col, ncells = _refine([0] * m, 1, edges, inc)
     node(col, ncells, [], True)
-    return best[0], aut
+    return best[0], aut, gens
 
 
 def _connected_code(k: int, verts, edges) -> tuple[CanonicalCode, int]:
@@ -154,7 +157,7 @@ def _connected_code(k: int, verts, edges) -> tuple[CanonicalCode, int]:
         )
     index = {v: i for i, v in enumerate(verts)}
     local = [(tuple(index[v] for v in e), mult) for e, mult in edges]
-    code, aut = _search(m, local) if m else ((), 1)
+    code, aut, _ = _search(m, local) if m else ((), 1, [])
     parts = [f"k{k}", f"n{m}"] + [",".join(map(str, e)) + f"x{mult}" for e, mult in code]
     return CanonicalCode("|".join(parts).encode()), aut
 

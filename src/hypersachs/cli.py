@@ -210,22 +210,19 @@ def _cmd_assoc_coeff(args) -> int:
 
 def _cmd_simplex(args) -> int:
     report = simplex_Ck(args.k)
+    ck = rational_str(report.C_k)
     if args.format == "structured":
-        obj = {
-            "k": args.k,
-            "C_k": str(report.C_k),
-            "C_H": rational_str(report.C_H),
-        }
+        obj = {"k": args.k, "C_k": ck, "C_H": rational_str(report.C_H)}
         if args.report_asymptotics:
             obj["asymptotic_ratio"] = report.asymptotic_ratio
         print(json.dumps(obj, indent=2))
         return 0
     if args.format == "csv":
-        print(f"{args.k},{report.C_k}")
+        print(f"{args.k},{ck}")
         if args.report_asymptotics:
             print(f"ratio,{report.asymptotic_ratio}")
         return 0
-    print(f"C_{args.k} = {report.C_k}")
+    print(f"C_{args.k} = {ck}")
     print(f"simplex class weight = {rational_str(report.C_H)}")
     if args.report_asymptotics:
         print(f"C_k / ((k+1)! k^(k+1)) = {report.asymptotic_ratio}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ArityError, ParseError, VertexRangeError
@@ -186,10 +187,11 @@ def serialize_hypergraph(
 
 
 def rational_str(x: Fraction | int) -> str:
+    """Exact decimal form, through Decimal: it has no int-to-str digit limit."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return str(Decimal(x.numerator))
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 TABLE_FORMATS = ("structured", "csv", "human")

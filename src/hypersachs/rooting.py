@@ -12,6 +12,11 @@ distinct rootings (sequences of rooted stars sorted by root), all yielding the
 same digraph.  `assoc_coeff_connected` sums the weight per assignment, reading
 the arborescence count off the out-degree Laplacian of the star union; only
 `euler_orientations` merges assignments into distinct digraphs.
+
+Aut(H) permutes the assignments and keeps their multiplicities and
+arborescence counts, so for |Aut(H)| >= _ORBIT_GATE the walk descends, at each
+edge, into one root count per orbit of the automorphisms fixing the edges so
+far and their counts, and the sum weighs each leaf by its orbit size.
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .canon import CanonicalCode, canonical_form
+from .canon import CanonicalCode, _search, canon_and_aut
 from .digraph import MultiDigraph, is_eulerian
 from .errors import ConsistencyFailure, NormalizationFailure, NotConnected, NotVeblen
 from .hypergraph import MultiHypergraph, components, is_connected, is_veblen
 from .linalg import bareiss_det
+
+_ORBIT_GATE = 100  # least |Aut(H)| for the orbit walk, set from per-class timings
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,32 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return [(c,) + rest for c in range(total + 1) for rest in _compositions(total - c, parts - 1)]
 
 
-def _root_count_assignments(H: MultiHypergraph):
-    """Yield all per-edge root-count assignments meeting every vertex quota."""
+def _combo_orbits(m: int, edges, chosen, feasible) -> tuple[list, bool]:
+    """Orbits [(representative, size)] of edge i = len(chosen)'s feasible root
+    counts under the automorphisms of H fixing edges 0..i (labelled by
+    position) and the counts chosen on 0..i-1 (labelled singletons), found by
+    one search, and whether that group is nontrivial."""
+    i, e = len(chosen), edges[len(chosen)][0]
+    marked = [(f, (0, mult)) for f, mult in edges[i + 1:]]
+    marked += [(f, (1, j)) for j, (f, _) in enumerate(edges[:i + 1])]
+    marked += [((v,), (2, j, c)) for j, combo in enumerate(chosen) for v, c in zip(edges[j][0], combo) if c]
+    _, aut, gens = _search(m, marked)
+    # a generator moves the count at position t of e to position e.index(g[e[t]])
+    moves = [sorted(range(len(e)), key=lambda t: e.index(g[e[t]])) for g in gens]
+    orbits, seen = [], set()
+    for combo in feasible:
+        if combo not in seen:
+            orbit = [combo]
+            for c in orbit:  # the list grows until it is closed under the generators
+                orbit += {tuple(c[t] for t in inv) for inv in moves} - set(orbit)
+            seen.update(orbit)
+            orbits.append((combo, len(orbit)))
+    return orbits, aut > 1
+
+
+def _root_count_assignments(H: MultiHypergraph, symmetric: bool = False):
+    """Yield every per-edge root-count assignment meeting every vertex quota
+    with orbit size 1, or with `symmetric` one per orbit under Aut(H) with its size."""
     verts = H.non_isolated
     index = {v: i for i, v in enumerate(verts)}
     deg = H.degrees()
@@ -63,29 +94,33 @@ def _root_count_assignments(H: MultiHypergraph):
     comps = [_compositions(m, len(e)) for e, m in edges]
     chosen: list[tuple[int, ...]] = []
 
-    def rec(i: int):
+    def rec(i: int, size: int, symmetric: bool):
         if i == len(edges):
-            yield tuple(chosen)
+            yield tuple(chosen), size
             return
         e, cap = edges[i][0], left[i]
-        for combo in comps[i]:
-            # only the vertices of e change their need or capacity
-            if all(need[v] - cap[v] <= c <= need[v] for v, c in zip(e, combo)):
-                for v, c in zip(e, combo):
-                    need[v] -= c
-                chosen.append(combo)
-                yield from rec(i + 1)
-                chosen.pop()
-                for v, c in zip(e, combo):
-                    need[v] += c
+        # only the vertices of e change their need or capacity
+        orbits = [(combo, 1) for combo in comps[i]
+                  if all(need[v] - cap[v] <= c <= need[v] for v, c in zip(e, combo))]
+        if symmetric and len(orbits) > 1:
+            # the groups below are subgroups, so trivial below a trivial one
+            orbits, symmetric = _combo_orbits(len(verts), edges, chosen, [c for c, _ in orbits])
+        for combo, n in orbits:
+            for v, c in zip(e, combo):
+                need[v] -= c
+            chosen.append(combo)
+            yield from rec(i + 1, size * n, symmetric)
+            chosen.pop()
+            for v, c in zip(e, combo):
+                need[v] += c
 
-    yield from rec(0)
+    yield from rec(0, 1, symmetric)
 
 
-def _rooted_unions(H: MultiHypergraph):
-    """For every root-count assignment of a connected Veblen hypergraph, yield
-    the number of rootings it stands for and the out-degree Laplacian of their
-    star union, indexed like H.non_isolated."""
+def _rooted_unions(H: MultiHypergraph, symmetric: bool = False):
+    """For every root-count assignment (or orbit) of a connected Veblen
+    hypergraph, yield the number of rootings it stands for and the out-degree
+    Laplacian of their star union, indexed like H.non_isolated."""
     if not is_veblen(H):
         raise NotVeblen("rootings are defined for Veblen hypergraphs only")
     if not is_connected(H):
@@ -94,7 +129,7 @@ def _rooted_unions(H: MultiHypergraph):
     index = {v: i for i, v in enumerate(verts)}
     quota_factorial = prod(factorial(d // H.k) for d in H.degrees().values())
     edges = [tuple(index[v] for v in e) for e, _ in H.edges]
-    for assignment in _root_count_assignments(H):
+    for assignment, size in _root_count_assignments(H, symmetric):
         lap = [[0] * len(verts) for _ in verts]
         copies = 1
         for e, combo in zip(edges, assignment):
@@ -109,7 +144,7 @@ def _rooted_unions(H: MultiHypergraph):
         count, rem = divmod(quota_factorial, copies)
         if rem:
             raise NormalizationFailure(f"rooting multiplicity {quota_factorial}/{copies} is not integral")
-        yield count, lap
+        yield count * size, lap
 
 
 def euler_orientations(H: MultiHypergraph) -> tuple[EulerOrientation, ...]:
@@ -132,12 +167,13 @@ def euler_orientations(H: MultiHypergraph) -> tuple[EulerOrientation, ...]:
     return tuple(out)
 
 
-def assoc_coeff_connected(H: MultiHypergraph) -> Fraction:
+def assoc_coeff_connected(H: MultiHypergraph, aut: int = 1) -> Fraction:
     """Associated coefficient of a connected Veblen hypergraph: the sum over
     rootings of the arborescence count of the rooted star union, divided by
-    the product of in-degrees (k-1) q_v."""
+    the product of in-degrees (k-1) q_v.  `aut`, |Aut(H)| if known, picks the
+    orbit walk from _ORBIT_GATE on; it cannot change the result."""
     total = 0
-    for count, lap in _rooted_unions(H):
+    for count, lap in _rooted_unions(H, aut >= _ORBIT_GATE):
         # a balanced union (columns sum to 0) has tau > 0 iff it is connected
         tau = bareiss_det([row[1:] for row in lap[1:]])
         if tau <= 0 or any(map(sum, zip(*lap))):
@@ -156,10 +192,10 @@ def assoc_coeff(H: MultiHypergraph) -> Fraction:
         raise NotVeblen("associated coefficients are defined for Veblen hypergraphs")
     result = Fraction(1)
     for comp in components(H):
-        code = canonical_form(comp)
+        code, aut = canon_and_aut(comp)
         value = _coeff_memo.get(code)
         if value is None:
-            value = assoc_coeff_connected(comp)
+            value = assoc_coeff_connected(comp, aut)
             _coeff_memo[code] = value
         result *= value
     return result

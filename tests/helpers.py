@@ -375,12 +375,26 @@ def _oracle_refine_colors(verts, edge_items):
 def oracle_canon(H):
     """(code, |Aut|) of H on its non-isolated vertices: the minimal
     position-blocked edge encoding and the number of relabelings attaining it."""
+    code, labelings = _oracle_search(H)
+    return code, len(labelings)
+
+
+def oracle_orbits(H):
+    """The vertex orbits of Aut(H), as a set of frozensets: two relabelings
+    attaining the minimal encoding differ by an automorphism."""
+    _, labelings = _oracle_search(H)
+    first = labelings[0]
+    return {frozenset(w for lab in labelings for w in lab if lab[w] == first[v]) for v in first}
+
+
+def _oracle_search(H):
+    """The minimal encoding of oracle_canon and every relabeling attaining it."""
     verts = H.non_isolated
     m = len(verts)
     if m > ORACLE_VERTICES:
         raise ValueError(f"the oracle is limited to {ORACLE_VERTICES} vertices, got {m}")
     if m == 0:
-        return ((H.k, ()), 1)
+        return ((H.k, ()), [{}])
     edge_items = [(frozenset(e), mult) for e, mult in H.edges]
     colors = _oracle_refine_colors(verts, edge_items)
     cell_map = {}
@@ -397,20 +411,20 @@ def oracle_canon(H):
             incident_idx[v].append(idx)
 
     best = None
-    aut = 0
+    leaves = []
     label = {}
     used = set()
 
     def rec(ci, left_in_cell, pos, blocks, tied):
-        nonlocal best, aut
+        nonlocal best, leaves
         if left_in_cell == 0:
             ci += 1
             if ci == len(cells):
                 if best is None or blocks < best:
                     best = blocks[:]
-                    aut = 1
+                    leaves = [dict(label)]
                 elif blocks == best:
-                    aut += 1
+                    leaves.append(dict(label))
                 return
             left_in_cell = len(cells[ci])
         for v in cells[ci]:
@@ -444,4 +458,4 @@ def oracle_canon(H):
             del label[v]
 
     rec(0, len(cells[0]), 0, [], True)
-    return ((H.k, m, tuple(best)), aut)
+    return ((H.k, m, tuple(best)), leaves)

@@ -8,9 +8,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ORACLE_VERTICES, disjoint_union, graph2, oracle_canon
+from helpers import ORACLE_VERTICES, disjoint_union, graph2, oracle_canon, oracle_orbits
 from hypersachs.canon import (
     VERTEX_BOUND,
+    _search,
     automorphisms,
     canon_and_aut,
     canonical_form,
@@ -159,6 +160,40 @@ def test_search_matches_exhaustive_oracle(graphs, rng):
             assert (new[i][0] == new[j][0]) == (old[i][0] == old[j][0])
     half = len(graphs) // 2
     assert new[:half] == new[half:]
+
+
+def closure(gens, m):
+    """Every product of the permutations `gens` of 0..m-1."""
+    group = {tuple(range(m))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[v] for v in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_3graphs())
+def test_search_returns_generators_of_aut(H):
+    # each returned permutation is an automorphism, and together they
+    # generate the whole group with the oracle's vertex orbits
+    _, want = oracle_canon(H)
+    if want > 5040:
+        return
+    verts = H.non_isolated
+    index = {v: i for i, v in enumerate(verts)}
+    edges = sorted((tuple(sorted(index[v] for v in e)), mult) for e, mult in H.edges)
+    _, aut, gens = _search(len(verts), edges)
+    for g in gens:
+        assert sorted((tuple(sorted(g[u] for u in e)), mult) for e, mult in edges) == edges
+    group = closure(gens, len(verts))
+    assert aut == want == len(group)
+    orbits = {frozenset(verts[p[i]] for p in group) for i in range(len(verts))}
+    assert orbits == oracle_orbits(H)
 
 
 small_hypergraphs = st.lists(

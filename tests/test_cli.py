@@ -1,12 +1,18 @@
 """Command-line entry points, exit codes, and output formats."""
 
+import hashlib
 import io
 import json
 import sys
+from decimal import Decimal
 
 import pytest
 
 from hypersachs.cli import dispatch
+from hypersachs.simplex import MAX_K
+
+# sha256 of hex(simplex_Ck(MAX_K).C_k), as pinned in test_simplex.test_max_k_boundary
+MAX_K_HEX_SHA256 = "6598c54f1c5c0dbb690f012b57c4dab6245d0fd861e05e971cbfa45321c07972"
 
 EDGE_DOC = "k=3 n=3\n1 2 3\n"
 V51_DOC = "k=3 n=5\n1 2 3\n1 2 4\n1 3 5\n2 4 5\n3 4 5\n"
@@ -96,6 +102,22 @@ def test_simplex_ck(capsys):
     assert dispatch(["simplex-ck", "--k", "5", "--report-asymptotics",
                      "--format", "csv"]) == 0
     assert capsys.readouterr().out == "5,28230\nratio,0.00250933333333\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "csv", "structured"])
+def test_simplex_ck_at_max_k(fmt, capsys):
+    # C_1000 has 5565 digits, past the default int-to-str limit; Decimal
+    # reads it back without that limit
+    assert dispatch(["simplex-ck", "--k", str(MAX_K), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "structured":
+        text = json.loads(out)["C_k"]
+    elif fmt == "csv":
+        text = out.splitlines()[0].split(",")[1]
+    else:
+        text = out.splitlines()[0].removeprefix(f"C_{MAX_K} = ")
+    assert len(text) == 5565
+    assert hashlib.sha256(hex(int(Decimal(text))).encode()).hexdigest() == MAX_K_HEX_SHA256
 
 
 def test_classical_check_smoke(capsys):
