@@ -14,9 +14,10 @@ the arborescence count off the out-degree Laplacian of the star union; only
 `euler_orientations` merges assignments into distinct digraphs.
 
 Aut(H) permutes the assignments and keeps their multiplicities and
-arborescence counts, so for |Aut(H)| >= _ORBIT_GATE the walk descends, at each
-edge, into one root count per orbit of the automorphisms fixing the edges so
-far and their counts, and the sum weighs each leaf by its orbit size.
+arborescence counts, so for the weight the walk descends, at each edge, into
+one root count per orbit of the automorphisms fixing the edges so far and
+their counts, and the sum weighs each leaf by its orbit size.  One search on a
+trivial group sends the walk plain below it.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .canon import CanonicalCode, _search, canon_and_aut
+from .canon import CanonicalCode, _search, canonical_form
 from .digraph import MultiDigraph, is_eulerian
 from .errors import ConsistencyFailure, NormalizationFailure, NotConnected, NotVeblen
 from .hypergraph import MultiHypergraph, components, is_connected, is_veblen
 from .linalg import bareiss_det
-
-_ORBIT_GATE = 100  # least |Aut(H)| for the orbit walk, set from per-class timings
 
 
 @dataclass(frozen=True)
@@ -167,13 +166,12 @@ def euler_orientations(H: MultiHypergraph) -> tuple[EulerOrientation, ...]:
     return tuple(out)
 
 
-def assoc_coeff_connected(H: MultiHypergraph, aut: int = 1) -> Fraction:
+def assoc_coeff_connected(H: MultiHypergraph) -> Fraction:
     """Associated coefficient of a connected Veblen hypergraph: the sum over
     rootings of the arborescence count of the rooted star union, divided by
-    the product of in-degrees (k-1) q_v.  `aut`, |Aut(H)| if known, picks the
-    orbit walk from _ORBIT_GATE on; it cannot change the result."""
+    the product of in-degrees (k-1) q_v."""
     total = 0
-    for count, lap in _rooted_unions(H, aut >= _ORBIT_GATE):
+    for count, lap in _rooted_unions(H, symmetric=True):
         # a balanced union (columns sum to 0) has tau > 0 iff it is connected
         tau = bareiss_det([row[1:] for row in lap[1:]])
         if tau <= 0 or any(map(sum, zip(*lap))):
@@ -192,10 +190,10 @@ def assoc_coeff(H: MultiHypergraph) -> Fraction:
         raise NotVeblen("associated coefficients are defined for Veblen hypergraphs")
     result = Fraction(1)
     for comp in components(H):
-        code, aut = canon_and_aut(comp)
+        code = canonical_form(comp)
         value = _coeff_memo.get(code)
         if value is None:
-            value = assoc_coeff_connected(comp, aut)
+            value = assoc_coeff_connected(comp)
             _coeff_memo[code] = value
         result *= value
     return result

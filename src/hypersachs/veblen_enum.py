@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .canon import VERTEX_BOUND, CanonicalCode, canon_and_aut, canonical_form
+from .canon import VERTEX_BOUND, CanonicalCode, canonical_form
 from .errors import ConsistencyFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, components, is_connected, require_simple
 from .rooting import _coeff_memo, assoc_coeff_connected
@@ -63,13 +63,13 @@ class OccurrenceCount:
 def _sorted_records(by_code: dict, with_coeffs: bool) -> tuple[IsoClassRecord, ...]:
     out = []
     for code in sorted(by_code, key=lambda c: c.blob):
-        rep, count, aut = by_code[code]
+        rep, count = by_code[code]
         coeff = None
         if with_coeffs:
             # each class weight is computed once, into rooting's memo by code
             coeff = _coeff_memo.get(code)
             if coeff is None:
-                coeff = _coeff_memo[code] = assoc_coeff_connected(rep, aut)
+                coeff = _coeff_memo[code] = assoc_coeff_connected(rep)
         out.append(IsoClassRecord(code, rep, rep.edge_count, coeff, count))
     return tuple(out)
 
@@ -101,7 +101,7 @@ def enumerate_connected_veblen(
 
 
 def _free_classes(k: int, d: int) -> dict:
-    """{code: (representative, None, |Aut|)} for enumerate_connected_veblen."""
+    """{code: (representative, None)} for enumerate_connected_veblen."""
     max_verts = min(d, VERTEX_BOUND)
     by_code: dict[CanonicalCode, tuple] = {}
     deg: dict[int, int] = {}
@@ -130,8 +130,7 @@ def _free_classes(k: int, d: int) -> dict:
                 if not is_connected(H):
                     raise ConsistencyFailure(f"free enumeration built a disconnected graph {H.edges}")
                 # labeled_count is not meaningful outside a host
-                code, aut = canon_and_aut(H)
-                by_code.setdefault(code, (H, None, aut))
+                by_code.setdefault(canonical_form(H), (H, None))
             return
         open_verts = [v for v, dv in deg.items() if dv % k != 0]
         vmin = min(open_verts) if open_verts else None
@@ -189,8 +188,8 @@ _infra_memo: dict[MultiHypergraph, list[dict]] = {}
 
 
 def _host_tables(host: MultiHypergraph, d: int) -> list[dict]:
-    """The host's class tables {code: [representative, labeled count, |Aut|]}
-    of orders 1..D for some D >= d; walks to order d unless stored."""
+    """The host's class tables {code: [representative, labeled count]} of
+    orders 1..D for some D >= d; walks to order d unless stored."""
     tables = _infra_memo.get(host)
     if tables is not None and len(tables) >= d:
         return tables
@@ -208,8 +207,7 @@ def _host_tables(host: MultiHypergraph, d: int) -> list[dict]:
         if not is_connected(G):
             return
         rep = components(G)[0]
-        code, aut = canon_and_aut(rep)
-        hit = tables[used - 1].setdefault(code, [rep, 0, aut])
+        hit = tables[used - 1].setdefault(canonical_form(rep), [rep, 0])
         hit[1] += 1
 
     def rec(i: int, used: int, deficit: int) -> None:
