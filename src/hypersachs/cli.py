@@ -16,11 +16,7 @@ from pathlib import Path
 from .canon import automorphisms
 from .classical import charpoly_graph, harary_sachs_coeffs, threshold_search
 from .errors import HypersachsError, UsageError
-from .formats import (
-    emit_table,
-    parse_document,
-    rational_str,
-)
+from .formats import emit_table, parse_document, rational_str
 from .hypergraph import MultiHypergraph
 from .rooting import assoc_coeff
 from .simplex import simplex_Ck
@@ -59,9 +55,10 @@ def _build_parser() -> _Parser:
     sp.add_argument(
         "--bruteforce",
         action="store_true",
-        help="recompute each trace by walk enumeration and verify",
+        help="recompute each trace by the walk expansion (closed walks per star profile) and verify",
     )
-    sp.add_argument("--budget", type=int, default=10_000_000)
+    sp.add_argument("--budget", type=int, default=10_000_000, help="work bound per order for --bruteforce: "
+                    "multiplicity vectors to scan, star choices, trail-walk states (default: %(default)s)")
     add_format(sp)
     sp.set_defaults(func=_cmd_traces)
 

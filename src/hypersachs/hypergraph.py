@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, NotVeblen
 
 Edge = tuple[int, ...]
 EdgeMultiset = tuple[tuple[Edge, int], ...]
@@ -114,6 +114,17 @@ class MultiHypergraph:
         return MultiHypergraph(self.k, self.n, tuple(edges))
 
 
+def _compositions(total: int, parts: int):
+    """Every tuple of `parts` nonnegative integers summing to `total`, in lex order."""
+    if parts <= 1:
+        if parts == 1 or total == 0:
+            yield (total,) * parts
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def require_simple(H: MultiHypergraph) -> None:
     if not H.is_simple:
         raise DomainError("operation requires a simple hypergraph (all multiplicities 1)")
@@ -194,8 +205,6 @@ def veblen_partitions(
 
     Precondition: is_veblen(H).
     """
-    from .errors import NotVeblen
-
     if not is_veblen(H):
         raise NotVeblen("edge partitions are defined for Veblen hypergraphs only")
     if not H.edges:

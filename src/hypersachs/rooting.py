@@ -29,7 +29,7 @@ from math import factorial, prod
 from .canon import CanonicalCode, _search, canonical_form
 from .digraph import MultiDigraph, is_eulerian
 from .errors import ConsistencyFailure, NormalizationFailure, NotConnected, NotVeblen
-from .hypergraph import MultiHypergraph, components, is_connected, is_veblen
+from .hypergraph import MultiHypergraph, _compositions, components, is_connected, is_veblen
 from .linalg import bareiss_det
 
 
@@ -44,13 +44,6 @@ class EulerOrientation:
     digraph: MultiDigraph
     root_counts: tuple[tuple[int, int], ...]
     multiplicity: int
-
-
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Every tuple of `parts` nonnegative integers summing to `total`, in lex order."""
-    if parts == 1:
-        return [(total,)]
-    return [(c,) + rest for c in range(total + 1) for rest in _compositions(total - c, parts - 1)]
 
 
 def _combo_orbits(m: int, edges, chosen, feasible) -> tuple[list, bool]:
@@ -90,7 +83,7 @@ def _root_count_assignments(H: MultiHypergraph, symmetric: bool = False):
     for e, m in reversed(edges[1:]):
         left.append([x + m if v in e else x for v, x in enumerate(left[-1])])
     left.reverse()
-    comps = [_compositions(m, len(e)) for e, m in edges]
+    comps = [list(_compositions(m, len(e))) for e, m in edges]
     chosen: list[tuple[int, ...]] = []
 
     def rec(i: int, size: int, symmetric: bool):

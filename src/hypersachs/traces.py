@@ -8,20 +8,28 @@ labeled count at its edge count; summing those terms per edge count gives
 coefficients.  `trace_d` evaluates Tr_d from the same class data, so it is no
 certificate of the class weights.
 
-`trace_bruteforce` is a from-scratch oracle for the power sums: it expands the
-defining operator formula into pointed closed walks on the host and weighs
-each arc profile by the number of ways to realize it as a union of edge stars.
+`trace_bruteforce` certifies the power sums without any class data.  It
+evaluates the trace formula of the adjacency tensor (Morozov & Shakirov
+2011; Shao, Qi & Hu 2015), Tr_d = (k-1)^(n-1) times the sum over
+d_1 + ... + d_n = d of prod_v [(sum_{e ∋ v} m_e prod_{w ∈ e∖v} ∂/∂z_vw)^d_v
+/ ((k-1) d_v)!] applied to tr(Z^((k-1) d)).  Expanding each vertex's
+operator gives star multiplicities s[v, e], the times edge e is rooted at v;
+they fix an edge multiset mu and an arc profile c, whose monomial takes
+tr(Z^L) to W(c) prod_a c_a!, with W(c) the pointed closed walks of arc
+multiset c.  W(c) vanishes unless c is balanced, i.e. d_v = deg_mu(v)/k,
+and is counted by a memoised trail walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial, inf, prod
 
 from .canon import CanonicalCode, _union_code
 from .errors import ConsistencyFailure, NormalizationFailure, SizeExceeded
-from .hypergraph import MultiHypergraph, require_simple
+from .hypergraph import MultiHypergraph, _compositions, require_simple
 from .veblen_enum import connected_infragraph_classes
 
 
@@ -72,104 +80,97 @@ def trace_vector(host: MultiHypergraph, max_order: int) -> TraceVector:
     return TraceVector(host=host, values=tuple(reversed(values)))
 
 
-def _star_decomposition_count(arcs_out: dict[int, int], stars: list[tuple[tuple[int, ...], int]], d_i: int) -> int:
-    """Number of ordered length-d_i sequences of stars at a fixed root whose
-    arc multiset equals arcs_out; stars are (other-endpoints, weight) pairs."""
-    remaining = dict(arcs_out)
+class _WalkExpansion:
+    """The trace formula on one host, summed by star profile.  The profiles of
+    one edge multiset share a trail memo keyed by arc counts; the trail walk
+    cannot be sized up front, so its states count against `budget` as it runs."""
 
-    def rec(idx: int) -> Fraction:
-        if idx == len(stars):
-            return Fraction(1) if all(c == 0 for c in remaining.values()) else Fraction(0)
-        heads, weight = stars[idx]
-        cap = min(remaining[w] for w in heads) if all(w in remaining for w in heads) else 0
-        total = Fraction(0)
-        for m in range(cap + 1):
-            if m:
-                for w in heads:
-                    remaining[w] -= m
-            sub = rec(idx + 1)
-            if m:
-                for w in heads:
-                    remaining[w] += m
-            if sub:
-                total += Fraction(weight**m, factorial(m)) * sub
-        return total
+    MAX_WALK = 300  # the trail walk recurses twice per arc of a walk
 
-    value = rec(0) * factorial(d_i)
-    if value.denominator != 1:
-        raise NormalizationFailure(f"star decomposition count {value} is not integral")
-    return value.numerator
+    def __init__(self, host: MultiHypergraph, budget: float = inf):
+        self.k, self.n, self.edges = host.k, host.n, host.edges
+        self.budget, self.trail_states = budget, 0
+        self.arcs = sorted({(v, w) for e, _ in host.edges for v in e for w in e if v != w})
+        self.out_arcs = {v: [i for i, (u, _) in enumerate(self.arcs) if u == v] for v in host.non_isolated}
+        # stars[i][j]: the arcs of edge i rooted at its j-th vertex
+        self.stars = [[[self.arcs.index((v, w)) for w in e if w != v] for v in e] for e, _ in host.edges]
+
+    def _trails(self, cur: int, rem: tuple[int, ...], memo: dict) -> int:
+        """Arc sequences from `cur` that use every remaining arc exactly once."""
+        hit = memo.get((cur, rem)) if any(rem) else 1
+        if hit is None:
+            self.trail_states += 1
+            if self.trail_states > self.budget:
+                raise SizeExceeded(f"walk expansion: {self.trail_states} trail states, budget {self.budget}")
+            hit = sum(self._trails(self.arcs[i][1], rem[:i] + (rem[i] - 1,) + rem[i + 1:], memo)
+                      for i in self.out_arcs[cur] if rem[i])
+            memo[cur, rem] = hit
+        return hit
+
+    def _closed_walks(self, profile: tuple[int, ...], v0: int, visits: int, memo: dict) -> int:
+        """W(c) for a balanced profile c in which v0 has `visits` out-arcs: a trail
+        through every arc of c is closed, and a closed walk of length L passes v0
+        `visits` times over its L rotations, so W(c) * visits = L * trails(v0)."""
+        rotations = sum(profile) * self._trails(v0, profile, memo)
+        if rotations % visits:
+            raise NormalizationFailure(f"{rotations} rotations do not split over {visits} visits of {v0}")
+        return rotations // visits
+
+    def _quotas(self, mu) -> dict[int, int] | None:
+        """d_v = deg(v)/k under the edge multiset mu; None if k divides not every degree."""
+        deg: dict[int, int] = {}
+        for (edge, _), m in zip(self.edges, mu):
+            for v in edge:
+                deg[v] = deg.get(v, 0) + m
+        return None if any(x % self.k for x in deg.values()) else {v: x // self.k for v, x in deg.items()}
+
+    def edge_multiset_sum(self, mu) -> Fraction:
+        """Sum of the star terms whose edge multiset is `mu` (aligned with
+        the host's edges), including the (k-1)^(n-1) prefactor."""
+        k, quota = self.k, self._quotas(mu)
+        if quota is None:
+            return Fraction(0)
+        v0 = max(quota, key=quota.get)
+        per_edge = [[split for split in _compositions(m, k) if all(s <= quota[v] for v, s in zip(e, split))]
+                    for (e, _), m in zip(self.edges, mu)]
+        total, memo = Fraction(0), {}
+        for splits in product(*per_edge):
+            counts, rooted, den = [0] * len(self.arcs), dict.fromkeys(quota, 0), 1
+            for (edge, _), stars, split in zip(self.edges, self.stars, splits):
+                for v, arcs, s in zip(edge, stars, split):
+                    rooted[v], den = rooted[v] + s, den * factorial(s)
+                    for a in arcs:
+                        counts[a] += s
+            # in(v) = deg(v) - d_v, so the profile is balanced iff d_v = deg(v)/k
+            if rooted == quota:
+                walks = self._closed_walks(tuple(counts), v0, (k - 1) * quota[v0], memo)
+                total += Fraction(walks * prod(map(factorial, counts)), den)
+        scale = prod(mult**m for (_, mult), m in zip(self.edges, mu)) * Fraction(k - 1) ** (self.n - 1)
+        return scale * total * prod(Fraction(factorial(q), factorial((k - 1) * q)) for q in quota.values())
+
+    def trace(self, d: int) -> Fraction:
+        """Tr_d; walk length, vectors to scan and star choices meet their bounds first."""
+        k, E, budget = self.k, len(self.edges), self.budget
+        if (L := d * (k - 1)) > self.MAX_WALK:
+            raise SizeExceeded(f"walk expansion of order {d}: walks of length {L}, limit {self.MAX_WALK}")
+        scan = comb(d + E - 1, E - 1) if E else 0
+        if scan > budget:
+            raise SizeExceeded(f"walk expansion of order {d}: {scan} multiplicity vectors, budget {budget}")
+        vectors = [mu for mu in _compositions(d, E) if self._quotas(mu) is not None]
+        choices = sum(prod(comb(m + k - 1, k - 1) for m in mu) for mu in vectors)
+        if choices > budget:
+            raise SizeExceeded(f"walk expansion of order {d}: {choices} star choices, budget {budget}")
+        return sum((self.edge_multiset_sum(mu) for mu in vectors), Fraction(0))
 
 
 def trace_bruteforce(host: MultiHypergraph, d: int, budget: int = 10_000_000) -> Fraction:
-    """Power sum of order d computed from the defining operator expansion.
-
-    Pointed closed walks of length d*(k-1) on the non-isolated vertices are
-    grouped by arc profile; each profile is weighted by the per-vertex count
-    of star sequences realizing its out-arcs, divided by out-degree
-    factorials, times the profile factorials.  The walk space is capped at
-    `budget` (m^L with m support vertices) and exceeding it raises.
-    """
+    """Power sum of order d by the walk expansion (see the module docstring).
+    Walks longer than 300 arcs, or more than `budget` multiplicity vectors to
+    scan or prod_e C(mu_e+k-1, k-1) star choices, raise SizeExceeded before
+    any star term; the trail walk counts its states against `budget`."""
     if d < 1:
         raise ValueError("trace order must be >= 1")
-    k = host.k
-    L = d * (k - 1)
-    support = host.non_isolated
-    m = len(support)
-    if m == 0:
-        return Fraction(0)
-    if m**L > budget:
-        raise SizeExceeded(f"walk space {m}^{L} exceeds budget {budget}")
-    nbrs: dict[int, set[int]] = {v: set() for v in support}
-    stars_at: dict[int, list[tuple[tuple[int, ...], int]]] = {v: [] for v in support}
-    for e, mult in host.edges:
-        for v in e:
-            others = tuple(sorted(w for w in e if w != v))
-            nbrs[v].update(others)
-            stars_at[v].append((others, mult))
-
-    profiles: dict[tuple, int] = {}
-    arc_counts: dict[tuple[int, int], int] = {}
-
-    def walk(cur: int, left: int, start: int) -> None:
-        if left == 0:
-            if cur == start:
-                key = tuple(sorted(arc_counts.items()))
-                profiles[key] = profiles.get(key, 0) + 1
-            return
-        for nxt in nbrs[cur]:
-            arc = (cur, nxt)
-            arc_counts[arc] = arc_counts.get(arc, 0) + 1
-            walk(nxt, left - 1, start)
-            arc_counts[arc] -= 1
-            if arc_counts[arc] == 0:
-                del arc_counts[arc]
-
-    for s in support:
-        walk(s, L, s)
-
-    total = Fraction(0)
-    for key, walk_count in profiles.items():
-        out: dict[int, int] = {}
-        for (u, _), c in key:
-            out[u] = out.get(u, 0) + c
-        if any(o % (k - 1) != 0 for o in out.values()):
-            continue
-        factor = Fraction(1)
-        ok = True
-        for u, o in out.items():
-            arcs_out = {v: c for (x, v), c in key if x == u}
-            w_u = _star_decomposition_count(arcs_out, stars_at[u], o // (k - 1))
-            if w_u == 0:
-                ok = False
-                break
-            factor *= Fraction(w_u, factorial(o))
-        if not ok:
-            continue
-        for _, c in key:
-            factor *= factorial(c)
-        total += walk_count * factor
-    return Fraction(k - 1) ** (host.n - 1) * total
+    return _WalkExpansion(host, budget).trace(d)
 
 
 def schur_P(d: int, ts) -> Fraction:

@@ -1,18 +1,23 @@
 """Builders and the test-only oracles shared across test modules: Euler
-circuits by brute force, the walk expansion, class weights over listed
-orientations, the simplex recurrence, the composition scan and the
+circuits by brute force, power sums by walk enumeration, class weights over
+listed orientations, the simplex recurrence, the composition scan and the
 exhaustive canonical-labeling search."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial, prod
 
 from hypersachs.canon import canonical_form
 from hypersachs.digraph import arborescence_count, is_eulerian
 from hypersachs.errors import NotEulerian, SizeExceeded
-from hypersachs.hypergraph import MultiHypergraph, components, is_connected, is_veblen
+from hypersachs.hypergraph import MultiHypergraph, _compositions, components, is_connected, is_veblen
 from hypersachs.rooting import euler_orientations
 from hypersachs.simplex import cycle_factor
+from hypersachs.traces import _WalkExpansion
+
+
+# three triple edges through vertex 1: the simple support of v9_4
+STAR_HOST = MultiHypergraph.build(3, 7, [(1, 2, 3), (1, 4, 5), (1, 6, 7)])
 
 
 def graph2(n, edges):
@@ -123,152 +128,111 @@ def derangement_cycle_sum_recurrence(k):
 
 
 # ----------------------------------------------------------------------
-# Walk-expansion oracle for power sums and class weights.
+# Walk oracles for power sums and class weights.
 #
-# This evaluates the defining trace formula of the adjacency tensor
-# (Morozov & Shakirov 2011; Shao, Qi & Hu, Linear Multilinear Algebra 63,
-# 2015) directly, with Z the n x n matrix of variables z_vw:
-#
-#   Tr_d = (k-1)^(n-1) * sum over d_1 + ... + d_n = d of
-#          prod_v [(sum_{e ∋ v} m_e prod_{w ∈ e∖v} ∂/∂z_vw)^(d_v) / ((k-1) d_v)!]
-#          applied to tr(Z^((k-1) d)).
-#
-# Expanding each vertex's operator gives "star" multiplicities s[v, e]: the
-# number of times edge e is rooted at v.  Together they fix an arc profile c
-# (the multiset of arcs v -> w) and an edge multiset mu (mu_e = sum_v s[v, e]).
-# Differentiating tr(Z^L) by the monomial of c gives W(c) * prod_a c_a!, where
-# W(c) counts the pointed closed walks whose arc multiset is c; it vanishes
-# unless c is in/out-balanced.  Grouping the star terms by mu gives the
-# class weights: a connected class G with d edges contributes
-# d * (k-1)^n * weight(G) to Tr_d.
-#
-# Nothing here uses the package's class weights, enumerators, rootings,
-# digraphs or linear algebra; MultiHypergraph is only read as input.
+# `walk_enumeration_trace` is the small-host brute force: it lists every
+# pointed closed walk of length d(k-1) on the non-isolated vertices one by
+# one (at most m^L of them) and weighs each arc profile by the ways to
+# realize its out-arcs as a union of edge stars.  The package's walk
+# expansion (`traces._WalkExpansion`, behind `trace_bruteforce`) evaluates
+# the same trace formula grouped by star profile and is checked against it
+# on small hosts.  `walk_traces` and `walk_weight` read that expansion, which
+# uses no class weight, enumerator, rooting, digraph or linear algebra, and
+# a connected class G with d edges contributes d * (k-1)^n * weight(G) to
+# Tr_d.
 
 
-def _compositions(total, parts):
-    """Every tuple of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _star_decomposition_count(arcs_out, stars, d_i):
+    """Number of ordered length-d_i sequences of stars at a fixed root whose
+    arc multiset equals arcs_out; stars are (other-endpoints, weight) pairs."""
+    remaining = dict(arcs_out)
 
-
-class WalkExpansion:
-    """Walk-expansion evaluation of the trace formula on one host.
-
-    The closed-walk memo is keyed by arc counts over the host's full arc
-    list, so it is shared by every profile and every order on the host.
-    """
-
-    def __init__(self, host):
-        self.k, self.n, self.edges = host.k, host.n, host.edges
-        self.arcs = sorted(
-            {(v, w) for e, _ in host.edges for v in e for w in e if v != w}
-        )
-        self.arc_index = {a: i for i, a in enumerate(self.arcs)}
-        self.out_arcs = {}
-        for i, (v, _) in enumerate(self.arcs):
-            self.out_arcs.setdefault(v, []).append(i)
-        self._trail_memo = {}
-
-    def _trails(self, cur, rem):
-        """Arc sequences from `cur` that use every remaining arc exactly once."""
-        if not any(rem):
-            return 1
-        key = (cur, rem)
-        hit = self._trail_memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        for i in self.out_arcs.get(cur, ()):
-            if rem[i]:
-                nxt = rem[:i] + (rem[i] - 1,) + rem[i + 1:]
-                total += self._trails(self.arcs[i][1], nxt)
-        self._trail_memo[key] = total
+    def rec(idx):
+        if idx == len(stars):
+            return Fraction(1) if all(c == 0 for c in remaining.values()) else Fraction(0)
+        heads, weight = stars[idx]
+        cap = min(remaining[w] for w in heads) if all(w in remaining for w in heads) else 0
+        total = Fraction(0)
+        for m in range(cap + 1):
+            if m:
+                for w in heads:
+                    remaining[w] -= m
+            sub = rec(idx + 1)
+            if m:
+                for w in heads:
+                    remaining[w] += m
+            if sub:
+                total += Fraction(weight**m, factorial(m)) * sub
         return total
 
-    def closed_walks(self, profile):
-        """W(c): pointed closed walks with arc multiset `profile` (counts
-        aligned with self.arcs, balanced, not all zero).
+    value = rec(0) * factorial(d_i)
+    assert value.denominator == 1, value
+    return value.numerator
 
-        A trail that uses every arc of a balanced profile ends where it
-        started.  Rotating a closed walk of length L through its L start
-        positions visits a vertex v0 as often as v0 has out-arcs, so
-        W(c) * out(v0) = L * (closed walks starting at v0)."""
+
+def walk_enumeration_trace(host, d, max_walks=10_000_000):
+    """Tr_d by enumerating every pointed closed walk of length d*(k-1) on
+    the non-isolated vertices, grouped by arc profile; each profile is
+    weighted by the per-vertex count of star sequences realizing its
+    out-arcs, divided by out-degree factorials, times the profile
+    factorials.  Raises SizeExceeded when m^L exceeds max_walks."""
+    k = host.k
+    L = d * (k - 1)
+    support = host.non_isolated
+    m = len(support)
+    if m == 0:
+        return Fraction(0)
+    if m**L > max_walks:
+        raise SizeExceeded(f"walk space {m}^{L} exceeds {max_walks}")
+    nbrs = {v: set() for v in support}
+    stars_at = {v: [] for v in support}
+    for e, mult in host.edges:
+        for v in e:
+            others = tuple(sorted(w for w in e if w != v))
+            nbrs[v].update(others)
+            stars_at[v].append((others, mult))
+
+    profiles = {}
+    arc_counts = {}
+
+    def walk(cur, left, start):
+        if left == 0:
+            if cur == start:
+                key = tuple(sorted(arc_counts.items()))
+                profiles[key] = profiles.get(key, 0) + 1
+            return
+        for nxt in nbrs[cur]:
+            arc = (cur, nxt)
+            arc_counts[arc] = arc_counts.get(arc, 0) + 1
+            walk(nxt, left - 1, start)
+            arc_counts[arc] -= 1
+            if arc_counts[arc] == 0:
+                del arc_counts[arc]
+
+    for s in support:
+        walk(s, L, s)
+
+    total = Fraction(0)
+    for key, walk_count in profiles.items():
         out = {}
-        for (v, _), c in zip(self.arcs, profile):
-            out[v] = out.get(v, 0) + c
-        v0 = max(out, key=out.get)
-        rotations = sum(profile) * self._trails(v0, profile)
-        assert rotations % out[v0] == 0
-        return rotations // out[v0]
-
-    def _star_term(self, stars):
-        """Contribution of one choice of star multiplicities, given as
-        (vertex, edge index, s) triples; 0 unless the arc profile is
-        balanced."""
-        k = self.k
-        counts = [0] * len(self.arcs)
-        d_at = {}
+        for (u, _), c in key:
+            out[u] = out.get(u, 0) + c
+        if any(o % (k - 1) != 0 for o in out.values()):
+            continue
         factor = Fraction(1)
-        for v, i, s in stars:
-            edge, mult = self.edges[i]
-            d_at[v] = d_at.get(v, 0) + s
-            factor *= Fraction(mult**s, factorial(s))
-            for w in edge:
-                if w != v:
-                    counts[self.arc_index[(v, w)]] += s
-        balance = {}
-        for (v, w), c in zip(self.arcs, counts):
-            balance[v] = balance.get(v, 0) + c
-            balance[w] = balance.get(w, 0) - c
-        if any(balance.values()):
-            return Fraction(0)
-        for dv in d_at.values():
-            factor *= Fraction(factorial(dv), factorial((k - 1) * dv))
-        for c in counts:
+        for u, o in out.items():
+            arcs_out = {v: c for (x, v), c in key if x == u}
+            factor *= Fraction(_star_decomposition_count(arcs_out, stars_at[u], o // (k - 1)), factorial(o))
+        for _, c in key:
             factor *= factorial(c)
-        return factor * self.closed_walks(tuple(counts))
-
-    def edge_multiset_sum(self, mu):
-        """Sum of the star terms whose edge multiset is `mu` (aligned with
-        the host's edges), including the (k-1)^(n-1) prefactor."""
-        per_edge = [
-            [
-                [(v, i, s) for v, s in zip(edge, split) if s]
-                for split in _compositions(m, self.k)
-            ]
-            for i, ((edge, _), m) in enumerate(zip(self.edges, mu))
-        ]
-        total = Fraction(0)
-        for choice in product(*per_edge):
-            total += self._star_term([t for part in choice for t in part])
-        return Fraction(self.k - 1) ** (self.n - 1) * total
-
-    def trace(self, d):
-        """Tr_d, the power sum of order d."""
-        total = Fraction(0)
-        for mu in _compositions(d, len(self.edges)):
-            # a balanced profile has in-degree = out-degree at v, i.e. the
-            # degree of mu at v is k * d_v; skip mu that cannot satisfy it
-            deg = {}
-            for (edge, _), m in zip(self.edges, mu):
-                for v in edge:
-                    deg[v] = deg.get(v, 0) + m
-            if any(x % self.k for x in deg.values()):
-                continue
-            total += self.edge_multiset_sum(mu)
-        return total
+        total += walk_count * factor
+    return Fraction(k - 1) ** (host.n - 1) * total
 
 
 def walk_traces(host, max_order):
     """Tr_1..Tr_max_order of `host` by the walk expansion."""
-    oracle = WalkExpansion(host)
-    return [oracle.trace(d) for d in range(1, max_order + 1)]
+    expansion = _WalkExpansion(host)
+    return [expansion.trace(d) for d in range(1, max_order + 1)]
 
 
 def walk_weight(G):
@@ -276,7 +240,7 @@ def walk_weight(G):
     the star terms whose edge multiset is G's, over d * (k-1)^n."""
     support = MultiHypergraph.build(G.k, G.n, G.support)
     mu = [m for _, m in G.edges]
-    return WalkExpansion(support).edge_multiset_sum(mu) / (
+    return _WalkExpansion(support).edge_multiset_sum(mu) / (
         sum(mu) * Fraction(G.k - 1) ** G.n
     )
 

@@ -5,6 +5,7 @@ import io
 import json
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from hypersachs.simplex import MAX_K
 MAX_K_HEX_SHA256 = "6598c54f1c5c0dbb690f012b57c4dab6245d0fd861e05e971cbfa45321c07972"
 
 EDGE_DOC = "k=3 n=3\n1 2 3\n"
+FANO_DOC = "k=3 n=7\n1 2 3\n1 4 5\n1 6 7\n2 5 6\n3 5 7\n2 4 7\n3 4 6\n"
 V51_DOC = "k=3 n=5\n1 2 3\n1 2 4\n1 3 5\n2 4 5\n3 4 5\n"
 
 
@@ -61,6 +63,24 @@ def test_traces_bruteforce_crosscheck(edge_file, capsys):
     assert dispatch(["traces", "--input", edge_file, "--max-order", "4",
                      "--bruteforce"]) == 0
     capsys.readouterr()
+
+
+def test_traces_bruteforce_fano_to_order_9(tmp_path, capsys):
+    path = tmp_path / "fano.txt"
+    path.write_text(FANO_DOC)
+    assert dispatch(["traces", "--input", str(path), "--max-order", "9",
+                     "--bruteforce", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9 and lines[2] == "3,1008"
+
+
+def test_traces_bruteforce_disagreement_exits_1(edge_file, capsys, monkeypatch):
+    monkeypatch.setattr("hypersachs.cli.trace_bruteforce", lambda host, d, budget: Fraction(d))
+    assert dispatch(["traces", "--input", edge_file, "--max-order", "3",
+                     "--bruteforce"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trace 1 disagrees: 0 vs walk count 1" in captured.err
 
 
 def test_veblen_count(capsys):

@@ -1,5 +1,7 @@
 """Construction, views, connectivity and edge-partition enumeration."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from hypersachs.catalog import (
 from hypersachs.errors import DomainError, NotVeblen
 from hypersachs.hypergraph import (
     MultiHypergraph,
+    _compositions,
     component_supports,
     components,
     flatten,
@@ -188,3 +191,18 @@ def test_components_partition_support(edge_list):
     assert sum(c.edge_count for c in comps) == H.edge_count
     supports = component_supports(H)
     assert sorted(v for s in supports for v in s) == list(H.non_isolated)
+
+
+@pytest.mark.parametrize("total,parts", [(0, 0), (3, 0), (0, 1), (4, 1), (0, 3), (5, 3), (6, 4), (3, 7)])
+def test_compositions_count_and_lex_order(total, parts):
+    got = list(_compositions(total, parts))
+    # stars and bars: C(t+p-1, p-1) compositions, one (the empty one) of 0 into 0 parts
+    assert len(got) == (comb(total + parts - 1, parts - 1) if parts else int(total == 0))
+    assert all(len(c) == parts and sum(c) == total and min(c, default=0) >= 0 for c in got)
+    assert got == sorted(set(got))
+
+
+def test_compositions_in_lex_order():
+    assert list(_compositions(2, 3)) == [
+        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)
+    ]

@@ -1,11 +1,15 @@
 """Spectral power sums and coefficient assembly."""
 
+import inspect
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from helpers import STAR_HOST, walk_enumeration_trace
+from hypersachs import canon, digraph, linalg, rooting, traces, veblen_enum
 from hypersachs.catalog import (
     complete_kgraph,
     cycle_graph,
@@ -14,10 +18,11 @@ from hypersachs.catalog import (
     single_edge,
 )
 from hypersachs.canon import canonical_form
-from hypersachs.errors import ConsistencyFailure, DomainError, SizeExceeded
+from hypersachs.errors import ConsistencyFailure, DomainError, NormalizationFailure, SizeExceeded
 from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.linalg import charpoly_int
 from hypersachs.traces import (
+    _WalkExpansion,
     _breakdown_for,
     codegree_coefficients,
     schur_P,
@@ -28,6 +33,7 @@ from hypersachs.traces import (
 
 F = Fraction
 EDGE = single_edge(3)  # one simple edge on three vertices
+K5_3 = MultiHypergraph.build(3, 5, combinations(range(1, 6), 3))
 
 
 @pytest.mark.parametrize(
@@ -75,18 +81,86 @@ def test_trace_vector_agrees_with_pointwise():
 )
 def test_trace_matches_walk_count(host):
     for d in range(1, 5):
-        assert trace_d(host, d) == trace_bruteforce(host, d)
+        assert trace_d(host, d) == trace_bruteforce(host, d) == walk_enumeration_trace(host, d)
 
 
 def test_isolated_vertices_scale_traces():
     padded = MultiHypergraph.build(3, 4, [(1, 2, 3)])
     assert trace_d(padded, 3) == (3 - 1) * trace_d(EDGE, 3)
-    assert trace_d(padded, 3) == trace_bruteforce(padded, 3)
+    assert trace_d(padded, 3) == trace_bruteforce(padded, 3) == walk_enumeration_trace(padded, 3)
 
 
 def test_bruteforce_budget():
     with pytest.raises(SizeExceeded):
         trace_bruteforce(complete_kgraph(3), 4, budget=10)
+
+
+def test_bruteforce_budget_message_states_the_estimate(monkeypatch):
+    # K_4^(3) at d=4: C(7, 3) = 35 vectors to scan; only mu = (1, 1, 1, 1) is
+    # Veblen, with 3^4 = 81 star choices; the trail walk, which cannot be
+    # sized up front, counts its 218 states as it runs
+    assert trace_bruteforce(complete_kgraph(3), 4, budget=218) == 168
+    with pytest.raises(SizeExceeded, match=r"^walk expansion: 218 trail states, budget 217$"):
+        trace_bruteforce(complete_kgraph(3), 4, budget=217)
+    # the estimate comes before any star term is evaluated
+    monkeypatch.setattr(_WalkExpansion, "edge_multiset_sum", None)
+    with pytest.raises(SizeExceeded, match=r"^walk expansion of order 4: 35 multiplicity vectors, budget 10$"):
+        trace_bruteforce(complete_kgraph(3), 4, budget=10)
+    with pytest.raises(SizeExceeded, match=r"^walk expansion of order 4: 81 star choices, budget 80$"):
+        trace_bruteforce(complete_kgraph(3), 4, budget=80)
+    # K_6^(5) at d=6: every edge once is the only Veblen vector, with 5^6
+    # star choices
+    with pytest.raises(SizeExceeded, match=r": 15625 star choices, budget 15624$"):
+        trace_bruteforce(complete_kgraph(5), 6, budget=15624)
+    with pytest.raises(SizeExceeded, match=r": 47145 star choices, budget 47144$"):
+        trace_bruteforce(fano_plane(), 9, budget=47144)
+
+
+def test_bruteforce_bounds_walk_length():
+    # the trail walk recurses per arc, so walk length is bounded up front
+    # rather than by Python's recursion limit
+    assert trace_bruteforce(single_edge(2), 300) == 2
+    with pytest.raises(SizeExceeded, match=r"^walk expansion of order 301: walks of length 301, limit 300$"):
+        trace_bruteforce(single_edge(2), 301)
+    with pytest.raises(SizeExceeded, match="walks of length 302"):
+        trace_bruteforce(single_edge(3), 151)
+
+
+@pytest.mark.parametrize(
+    "host,max_order",
+    [(fano_plane(), 9), (STAR_HOST, 9), (K5_3, 6), (complete_kgraph(4), 5)],
+    ids=["fano-9", "star-9", "K5_3-6", "K5_4-5"],
+)
+def test_bruteforce_certifies_trace_vector(host, max_order):
+    want = trace_vector(host, max_order).values
+    assert tuple(trace_bruteforce(host, d) for d in range(1, max_order + 1)) == want
+
+
+def test_bruteforce_uses_no_class_data(monkeypatch):
+    # the walk expansion must stay independent of what it certifies: every
+    # function of canon, veblen_enum, rooting, digraph and linalg raises
+    hosts = [fano_plane(), STAR_HOST, complete_kgraph(4)]
+    want = [trace_vector(host, 5).values for host in hosts]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the walk expansion called class-data code")
+
+    for module in (canon, veblen_enum, rooting, digraph, linalg):
+        for name, value in vars(module).items():
+            if inspect.isfunction(value) and value.__module__ == module.__name__:
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(traces, "connected_infragraph_classes", forbidden)
+    monkeypatch.setattr(traces, "_union_code", forbidden)
+    for host, values in zip(hosts, want):
+        assert tuple(trace_bruteforce(host, d) for d in range(1, 6)) == values
+
+
+def test_inexact_walk_rotation_split_raises(monkeypatch):
+    # a package error, not an assert: with one trail per profile, K_4^(3) at
+    # d=7 has a profile whose 14 rotations do not split over 4 visits
+    monkeypatch.setattr(_WalkExpansion, "_trails", lambda self, cur, rem, memo: 1)
+    with pytest.raises(NormalizationFailure, match="do not split"):
+        trace_bruteforce(complete_kgraph(3), 7)
 
 
 def test_schur_anchor_and_bounds():

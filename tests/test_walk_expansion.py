@@ -1,10 +1,10 @@
-"""The test-side walk-expansion oracle (helpers.WalkExpansion).
+"""The walk expansion behind `trace_bruteforce` (traces._WalkExpansion).
 
-The oracle evaluates the defining trace formula by pointed closed walks and
-shares no code with the package's class weights or enumerators, so the
-checks below certify it against the package's own walk oracle
-(`trace_bruteforce`) where that is affordable, and then use it to certify
-class weights where `trace_bruteforce` is not.
+The expansion evaluates the defining trace formula by star profiles and
+shares no code with the package's class weights or enumerators.  The checks
+below certify it against the test-side enumeration of every pointed closed
+walk (`helpers.walk_enumeration_trace`) where that is affordable, and then
+use it to certify class weights where walk enumeration is not.
 """
 
 from fractions import Fraction
@@ -12,8 +12,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    STAR_HOST,
     all_simple_3graphs,
     newton_coefficients,
+    walk_enumeration_trace,
     walk_traces,
     walk_weight,
 )
@@ -31,9 +33,6 @@ from hypersachs.traces import trace_bruteforce
 
 F = Fraction
 
-# three triple edges through vertex 1: the simple support of v9_4
-STAR_HOST = MultiHypergraph.build(3, 7, [(1, 2, 3), (1, 4, 5), (1, 6, 7)])
-
 
 def test_matches_bruteforce_on_every_small_simple_3graph():
     cases = 0
@@ -41,14 +40,28 @@ def test_matches_bruteforce_on_every_small_simple_3graph():
         for host in all_simple_3graphs(n):
             got = walk_traces(host, 4)
             for d in range(1, 5):
-                assert got[d - 1] == trace_bruteforce(host, d), (host.edges, d)
+                want = walk_enumeration_trace(host, d)
+                assert got[d - 1] == trace_bruteforce(host, d) == want, (host.edges, d)
                 cases += 1
     assert cases == 72
 
 
 def test_matches_bruteforce_on_star_host():
-    got = walk_traces(STAR_HOST, 4)
-    assert got == [trace_bruteforce(STAR_HOST, d) for d in range(1, 5)]
+    want = [walk_enumeration_trace(STAR_HOST, d) for d in range(1, 5)]
+    assert walk_traces(STAR_HOST, 4) == [trace_bruteforce(STAR_HOST, d) for d in range(1, 5)] == want
+
+
+def test_matches_bruteforce_on_multi_hosts():
+    # edge multiplicities enter each star term as m_e^(mu_e)
+    hosts = [
+        MultiHypergraph.build(3, 4, [((1, 2, 3), 2), (1, 2, 4)]),
+        MultiHypergraph.build(3, 5, [((1, 2, 3), 2), ((1, 4, 5), 3), (2, 4, 5)]),
+        MultiHypergraph.build(2, 3, [((1, 2), 2), (2, 3)]),
+    ]
+    for host in hosts:
+        want = [walk_enumeration_trace(host, d) for d in range(1, 5)]
+        assert any(want), host.edges
+        assert [trace_bruteforce(host, d) for d in range(1, 5)] == want, host.edges
 
 
 def test_ordinary_graphs_give_adjacency_charpoly():
