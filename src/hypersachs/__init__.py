@@ -43,7 +43,6 @@ from .classical import (
     ElementarySubgraph,
     ThresholdReport,
     charpoly_graph,
-    graph_assoc_coeff,
     harary_sachs_coeffs,
     partition_sum_check,
     threshold_search,
@@ -96,7 +95,6 @@ __all__ = [
     "ThresholdReport",
     "charpoly_graph",
     "harary_sachs_coeffs",
-    "graph_assoc_coeff",
     "partition_sum_check",
     "threshold_single_edge",
     "threshold_search",

@@ -1,6 +1,6 @@
 """Ordinary graphs (k=2): exact characteristic polynomial, the edge/cycle
-subgraph expansion of its coefficients, Euler-circuit weights, and codegree
-thresholds.
+subgraph expansion of its coefficients, partition sums of class weights, and
+codegree thresholds.
 
 Everything here is independent of the rooting engine on purpose; the test
 suite plays the two against each other.
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NormalizationFailure, NotConnected, NotVeblen, SizeExceeded
+from .errors import DomainError, NotConnected, NotVeblen, SizeExceeded
 from .hypergraph import (
     MultiHypergraph,
     is_connected,
@@ -26,7 +26,6 @@ from .traces import codegree_coefficients
 
 MAX_CHARPOLY_VERTICES = 12
 MAX_PARTITION_EDGES = 8
-MAX_TRAIL_EDGES = 12
 
 
 def _require_graph(G: MultiHypergraph) -> None:
@@ -150,52 +149,6 @@ def harary_sachs_coeffs(G: MultiHypergraph, d: int) -> int:
     return sum(H.sign_weight for H in elementary_subgraphs(G, d))
 
 
-def graph_assoc_coeff(G: MultiHypergraph) -> Fraction:
-    """Associated coefficient of a connected even multigraph, from first
-    principles: closed trails through every edge copy, over rotations and
-    copy relabelings.
-
-    Counts pointed closed trails T over distinguishable edge copies; every
-    circular trail is aperiodic in the copies, so T / (#copies) is the
-    circuit count and C = T / (#copies * prod_e m(e)!).
-    """
-    _require_graph(G)
-    if not is_veblen(G):
-        raise NotVeblen("trail counting needs every degree even")
-    if not is_connected(G):
-        raise NotConnected("trail counting needs a connected multigraph")
-    copies: list[tuple[int, int]] = []
-    for (u, v), m in G.edges:
-        copies.extend([(u, v)] * m)
-    L = len(copies)
-    if L == 0:
-        raise DomainError("empty multigraph has no circuits")
-    if L > MAX_TRAIL_EDGES:
-        raise SizeExceeded(f"trail counting bounded at {MAX_TRAIL_EDGES} edge copies")
-    touch: dict[int, list[int]] = {}
-    for i, (u, v) in enumerate(copies):
-        touch.setdefault(u, []).append(i)
-        touch.setdefault(v, []).append(i)
-    full = (1 << L) - 1
-
-    def walks(cur: int, used: int, home: int) -> int:
-        if used == full:
-            return 1 if cur == home else 0
-        t = 0
-        for i in touch[cur]:
-            bit = 1 << i
-            if not used & bit:
-                u, v = copies[i]
-                t += walks(v if cur == u else u, used | bit, home)
-        return t
-
-    T = sum(walks(s, 0, s) for s in touch)
-    q, r = divmod(T, L)
-    if r:
-        raise NormalizationFailure(f"pointed trail count {T} does not split into rotation classes of {L}")
-    return Fraction(q, math.prod(math.factorial(m) for _, m in G.edges))
-
-
 def partition_sum_check(G: MultiHypergraph) -> Fraction:
     """Signed sum over partitions of G's edge multiset into connected even
     parts: parts P get weight (-1)^{|P|+1} prod C(part), repeated parts
@@ -230,16 +183,6 @@ def threshold_single_edge(v: int) -> int:
     if v < 3:
         raise DomainError("a 3-uniform edge needs at least 3 ambient vertices")
     return 9 * 2 ** (v - 3)
-
-
-def single_edge_profile(v: int, t: int) -> int:
-    """Codegree-3t coefficient of the single-edge host on v vertices:
-    (-1)^t binom(3*2^{v-3}, t).  Zero once t passes the binomial width."""
-    if v < 3:
-        raise DomainError("a 3-uniform edge needs at least 3 ambient vertices")
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    return (-1) ** t * math.comb(3 * 2 ** (v - 3), t)
 
 
 @dataclass(frozen=True)

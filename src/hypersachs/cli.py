@@ -13,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from .canon import automorphisms
 from .classical import charpoly_graph, harary_sachs_coeffs, threshold_search
 from .errors import HypersachsError, UsageError
 from .formats import emit_table, parse_document, rational_str
@@ -138,11 +137,10 @@ def _edges_str(H: MultiHypergraph) -> str:
 def _atlas_lines(k: int, d: int, with_coeffs: bool) -> list[str]:
     lines = []
     for rec in enumerate_connected_veblen(k, d, with_coeffs=with_coeffs):
-        aut = automorphisms(rec.representative).aut_count
         value = rational_str(rec.assoc_coeff) if with_coeffs else "-"
         lines.append(
             f"{rec.code.hexdigest()}\t{d}\t{_edges_str(rec.representative)}"
-            f"\t{value}\t{aut}"
+            f"\t{value}\t{rec.aut_count}"
         )
     return lines
 

@@ -74,30 +74,3 @@ def charpoly_int(matrix: list[list[int]]) -> tuple[int, ...]:
         ]
         work = mat_mul(matrix, shifted)
     return tuple(coeffs)
-
-
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer polynomials given as coefficient lists (leading first)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def poly_exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient a / b for integer polynomials (leading coefficients first)."""
-    a = a[:]
-    out = []
-    lead = b[0]
-    for i in range(len(a) - len(b) + 1):
-        q, r = divmod(a[i], lead)
-        if r:
-            raise NormalizationFailure("polynomial division must be exact")
-        out.append(q)
-        for j, y in enumerate(b):
-            a[i + j] -= q * y
-    if any(a):
-        raise NormalizationFailure("polynomial division must be exact")
-    return out

@@ -27,7 +27,6 @@ from math import factorial, prod
 
 from .digraph import MultiDigraph
 from .errors import ConsistencyFailure, DomainError, NormalizationFailure
-from .linalg import poly_exact_div, poly_mul
 
 MAX_K = 1000
 CONTRIBUTION_CAP = 2000
@@ -171,30 +170,6 @@ def simplex_Ck(k: int) -> SimplexCoefficientReport:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumPrediction:
-    """Predicted eigenvalue multiset of M_sigma - J (permutation matrix minus
-    all-ones) for a permutation of [size]: every l-th root of unity per
-    l-cycle, with one eigenvalue 1 removed overall, plus the integer 1-size.
-
-    Roots of unity are kept symbolic as (cycle_length, exponent) pairs.
-    """
-
-    size: int
-    cycle_lengths: tuple[int, ...]
-    unity_roots: tuple[tuple[int, int], ...]
-    integer_eigenvalue: int
-
-    def charpoly(self) -> tuple[int, ...]:
-        """Predicted characteristic polynomial det(xI - (M_sigma - J)),
-        leading coefficient first: (x + size - 1) * prod(x^l - 1) / (x - 1)."""
-        poly = (1,)
-        for length in self.cycle_lengths:
-            poly = poly_mul(poly, (1,) + (0,) * (length - 1) + (-1,))
-        poly = poly_exact_div(poly, (1, -1))
-        return poly_mul(poly, (1, self.size - 1))
-
-
 def _cycles_of(sigma: tuple[int, ...]) -> list[list[int]]:
     m = len(sigma)
     if sorted(sigma) != list(range(1, m + 1)):
@@ -212,27 +187,6 @@ def _cycles_of(sigma: tuple[int, ...]) -> list[list[int]]:
             x = sigma[x - 1]
         cycles.append(cyc)
     return cycles
-
-
-def predicted_spectrum_MJ(sigma) -> SpectrumPrediction:
-    """Spectrum of M_sigma - J predicted from sigma's cycle type alone."""
-    sigma = tuple(sigma)
-    cycles = _cycles_of(sigma)
-    lengths = tuple(len(c) for c in cycles)
-    roots: list[tuple[int, int]] = []
-    removed = False
-    for length in lengths:
-        for j in range(length):
-            if j == 0 and not removed:
-                removed = True
-                continue
-            roots.append((length, j))
-    return SpectrumPrediction(
-        size=len(sigma),
-        cycle_lengths=lengths,
-        unity_roots=tuple(roots),
-        integer_eigenvalue=1 - len(sigma),
-    )
 
 
 def simplex_orientation(k: int, sigma) -> MultiDigraph:
@@ -253,13 +207,3 @@ def simplex_orientation(k: int, sigma) -> MultiDigraph:
             if w != i and w != root:
                 arcs.append((root, w))
     return MultiDigraph.build(range(1, m + 1), arcs)
-
-
-def simplex_tau_formula(k: int, p: PartitionMin2) -> int:
-    """Arborescence count of a derangement orientation from its cycle type:
-    prod of cycle factors divided by (k+1)^2, checked integral."""
-    value = prod(cycle_factor(k, length) for length in p.parts)
-    tau, rem = divmod(value, (k + 1) ** 2)
-    if rem:
-        raise NormalizationFailure(f"cycle-factor product {value} is not divisible by (k+1)^2")
-    return tau

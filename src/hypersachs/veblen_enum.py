@@ -1,14 +1,25 @@
 """Enumeration of Veblen hypergraphs up to isomorphism.
 
-Two flavours:
+Free enumeration lists the connected classes of a given arity and edge count
+(with multiplicity), each with the |Aut| of its canonical search, by an
+orderly DFS over sorted edge sequences deduplicated by canonical code.
 
-* free enumeration: all connected isomorphism classes with a given edge count
-  (counting multiplicity) and arity, generated by an orderly DFS over sorted
-  edge sequences and deduplicated by canonical code;
-* host-relative enumeration: the classes realized by multiplicity functions on
-  the edge set of a fixed host, together with how many functions realize each
-  class (the labeled count), from one pruned depth-first walk over the
-  host-edge multiplicities that fills the tables of every order at once.
+Host-relative enumeration fills one table per order 1..d with the classes
+that multiplicity functions on a simple host's edges realize, their labeled
+counts, and as representative the component of the lex-least such function.
+Two routes fill the same tables.  The walk visits the host's Veblen
+multiplicity vectors and canonicalizes each.  Counting takes the free
+classes G of orders 1..d: count(G) = inj(G, host) / |Aut(G)|, inj counting
+the injective vertex maps that send each support edge of G to a host edge
+(Curticapean, Dell & Marx, STOC 2017).  The route estimated cheaper runs.
+In seconds, the walk costs WALK_S per vector of the bound C(d+E-1, E-1) on
+E host edges; counting costs ATLAS_S * ATLAS_GROWTH^((k-1)(j-k)) per free
+order j not stored, plus INJECTION_S * (n)_min(n,d) per class, taking
+CLASSES * k^(j-k) classes at an order not stored.  Orders below k or above
+MAX_FREE_EDGES take the walk.  The constants fit single runs on Python 3.11
+and 2 CPUs (README has the table): the walk took 0.8-9 us per bound vector
+(3 us on K_6^(3) to order 6), injections 1.9-5.3 us per unit, and each atlas
+order came within a factor of three of its term (3.5 s at k=3, j=8).
 
 Occurrence counts of disconnected graphs in a host factor over components,
 divided by the symmetry of repeated components, so they can be non-integral.
@@ -19,14 +30,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf, perm
+from operator import itemgetter
 
-from .canon import VERTEX_BOUND, CanonicalCode, canonical_form
-from .errors import ConsistencyFailure, SizeExceeded
+from .canon import VERTEX_BOUND, CanonicalCode, canon_and_aut, canonical_form
+from .errors import ConsistencyFailure, NormalizationFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, components, is_connected, require_simple
 from .rooting import _coeff_memo, assoc_coeff_connected
 
 MAX_FREE_EDGES = 9
+
+# the host-table route estimate, in seconds (module docstring)
+WALK_S = INJECTION_S = 3e-6
+ATLAS_S, ATLAS_GROWTH, CLASSES = 3e-4, 2.55, 0.5
+INJECTION_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -34,13 +51,14 @@ class IsoClassRecord:
     """One isomorphism class: canonical code, a representative on vertices
     1..v, its edge count, and optionally its associated coefficient and (for
     host-relative enumeration) the number of multiplicity functions on the
-    host realizing the class."""
+    host realizing the class, or (for free enumeration) |Aut| of the class."""
 
     code: CanonicalCode
     representative: MultiHypergraph
     edge_count: int
     assoc_coeff: Fraction | None = None
     labeled_count: int | None = None
+    aut_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -60,17 +78,19 @@ class OccurrenceCount:
         return self.value.numerator
 
 
-def _sorted_records(by_code: dict, with_coeffs: bool) -> tuple[IsoClassRecord, ...]:
+def _sorted_records(by_code: dict, with_coeffs: bool, free: bool = False) -> tuple[IsoClassRecord, ...]:
+    # host tables hold [representative, labeled count], free ones (representative, |Aut|)
     out = []
     for code in sorted(by_code, key=lambda c: c.blob):
-        rep, count = by_code[code]
+        rep, value = by_code[code]
+        count, aut = (None, value) if free else (value, None)
         coeff = None
         if with_coeffs:
             # each class weight is computed once, into rooting's memo by code
             coeff = _coeff_memo.get(code)
             if coeff is None:
                 coeff = _coeff_memo[code] = assoc_coeff_connected(rep)
-        out.append(IsoClassRecord(code, rep, rep.edge_count, coeff, count))
+        out.append(IsoClassRecord(code, rep, rep.edge_count, coeff, count, aut))
     return tuple(out)
 
 
@@ -81,7 +101,8 @@ def enumerate_connected_veblen(
     k: int, d: int, with_coeffs: bool = False
 ) -> tuple[IsoClassRecord, ...]:
     """All connected Veblen isomorphism classes with arity k and exactly d
-    edges counted with multiplicity, sorted by canonical code.
+    edges counted with multiplicity, sorted by canonical code, each with
+    its |Aut| in `aut_count`.
 
     Generation walks lexicographically non-decreasing edge sequences in which
     new vertices appear as consecutive integers and every edge touches an
@@ -97,11 +118,11 @@ def enumerate_connected_veblen(
     by_code = _free_memo.get((k, d))
     if by_code is None:
         by_code = _free_memo[(k, d)] = _free_classes(k, d)
-    return _sorted_records(by_code, with_coeffs)
+    return _sorted_records(by_code, with_coeffs, free=True)
 
 
 def _free_classes(k: int, d: int) -> dict:
-    """{code: (representative, None)} for enumerate_connected_veblen."""
+    """{code: (representative, |Aut|)} for enumerate_connected_veblen."""
     max_verts = min(d, VERTEX_BOUND)
     by_code: dict[CanonicalCode, tuple] = {}
     deg: dict[int, int] = {}
@@ -129,8 +150,8 @@ def _free_classes(k: int, d: int) -> dict:
                 H = MultiHypergraph.build(k, maxu, tuple(counts.items()))
                 if not is_connected(H):
                     raise ConsistencyFailure(f"free enumeration built a disconnected graph {H.edges}")
-                # labeled_count is not meaningful outside a host
-                by_code.setdefault(canonical_form(H), (H, None))
+                code, aut = canon_and_aut(H)
+                by_code.setdefault(code, (H, aut))
             return
         open_verts = [v for v, dv in deg.items() if dv % k != 0]
         vmin = min(open_verts) if open_verts else None
@@ -189,10 +210,27 @@ _infra_memo: dict[MultiHypergraph, list[dict]] = {}
 
 def _host_tables(host: MultiHypergraph, d: int) -> list[dict]:
     """The host's class tables {code: [representative, labeled count]} of
-    orders 1..D for some D >= d; walks to order d unless stored."""
+    orders 1..D for some D >= d, by the route estimated cheaper unless stored."""
     tables = _infra_memo.get(host)
     if tables is not None and len(tables) >= d:
         return tables
+    walk, count = _route_costs(host.k, host.n, len(host.edges), d)
+    tables = _count_tables(host, d, INJECTION_BUDGET) if count < walk else _walk_tables(host, d)
+    _infra_memo.clear()
+    _infra_memo[host] = tables
+    return tables
+
+
+def _walk_tables(host: MultiHypergraph, d: int) -> list[dict]:
+    """Class tables of orders 1..d by one depth-first walk.  It visits the
+    edges in `host.edges` order, each multiplicity ascending, so the vectors
+    of one order come in lexicographic order and a class keeps its first.
+    It prunes twice.  A vertex closes at its last incident edge, whose
+    multiplicity must bring its degree to 0 mod k: that edge steps by k from
+    the forced residue, and closing vertices that force different residues
+    cut the branch.  A branch is also cut when the degree deficits sum_v
+    ((-deg v) mod k) exceed k times the edges left in the budget.  Every leaf
+    is thus a Veblen vector, and only leaves build a MultiHypergraph."""
     k = host.k
     edges = [e for e, _ in host.edges]
     last = {v: i for i, e in enumerate(edges) for v in e}
@@ -236,8 +274,84 @@ def _host_tables(host: MultiHypergraph, d: int) -> list[dict]:
                 deg[v] -= m
 
     rec(0, 0, 0)
-    _infra_memo.clear()
-    _infra_memo[host] = tables
+    return tables
+
+
+def _route_costs(k: int, n: int, edges: int, d: int) -> tuple[float, float]:
+    """Estimated seconds of the walk and of injection counting to order d on
+    a host with n vertices and `edges` edges of arity k (module docstring)."""
+    walk = WALK_S * comb(d + edges - 1, d)
+    if not k <= d <= MAX_FREE_EDGES:
+        return walk, inf
+    atlas = classes = 0.0
+    for j in range(k, d + 1):
+        stored = _free_memo.get((k, j))
+        if stored is None:
+            atlas += ATLAS_S * ATLAS_GROWTH ** ((k - 1) * (j - k))
+        classes += CLASSES * k ** (j - k) if stored is None else len(stored)
+    return walk, atlas + INJECTION_S * classes * perm(n, min(n, d))
+
+
+def _count_tables(host: MultiHypergraph, d: int, budget: int) -> list[dict]:
+    """Class tables of orders 1..d by counting injections (module docstring).
+    Vertex p > 1 of a free representative is placed among the host neighbours
+    of a smaller vertex's image, and an edge is checked at its largest vertex.
+    Keys list a vector's (-edge position, multiplicity) pairs by position, so
+    they compare as the vectors do.  Over `budget` placements raise SizeExceeded."""
+    edges = [e for e, _ in host.edges]
+    position = {sum(1 << v for v in e): i for i, e in enumerate(edges)}  # by vertex bit set
+    nbrs: dict[int, set[int]] = {}
+    for e in edges:
+        for v in e:
+            nbrs.setdefault(v, set()).update(e)
+    img, bits, used, keys = [0] * (d + 1), [0] * (d + 1), set(), []
+
+    def place(p: int) -> None:
+        nonlocal budget, found, least
+        for x in nbrs[img[anchor[p]]] if p > 1 else nbrs:
+            if x in used:
+                continue
+            budget -= 1
+            if budget < 0:
+                estimate = _route_costs(host.k, host.n, len(edges), d)[1]
+                raise SizeExceeded(f"injection count to order {d} over its budget; estimate {estimate:.3g} s")
+            img[p], bits[p] = x, 1 << x
+            depth = len(keys)
+            for members, m in checks[p]:
+                i = position.get(sum(members(bits)))
+                if i is None:
+                    break
+                keys.append((-i, m))
+            else:
+                if p < len(checks) - 1:
+                    used.add(x)
+                    place(p + 1)
+                    used.discard(x)
+                else:
+                    found += 1
+                    key = sorted(keys, reverse=True)
+                    if not least or key < least:
+                        least = key
+            del keys[depth:]
+
+    tables = []
+    for j in range(1, d + 1):
+        tables.append({})
+        for rec in enumerate_connected_veblen(host.k, j):
+            G = rec.representative
+            checks, anchor = [[] for _ in range(G.n + 1)], list(range(G.n + 1))
+            for e, m in G.edges:
+                checks[e[-1]].append((itemgetter(*e), m))
+                for v in e[1:]:
+                    anchor[v] = min(anchor[v], e[0])
+            found, least = 0, []
+            place(1)
+            count, rem = divmod(found, rec.aut_count)
+            if rem:
+                raise NormalizationFailure(f"{found} injections do not split over |Aut| = {rec.aut_count}")
+            if count:
+                rep = components(MultiHypergraph.build(host.k, host.n, [(edges[-i], m) for i, m in least]))[0]
+                tables[-1][rec.code] = [rep, count]
     return tables
 
 
@@ -247,17 +361,12 @@ def connected_infragraph_classes(
     """Isomorphism classes of connected Veblen graphs with d edges realized by
     multiplicity functions on the host's edge set, with labeled counts.
 
-    One depth-first walk fills the tables of every order up to d; later calls
-    on the same host up to that order read them until another host is
-    walked, so a caller that needs several orders asks for the largest first.  The walk visits the edges in
-    `host.edges` order, each multiplicity ascending, so the vectors of one
-    order come in lexicographic order and a class keeps its first vector as
-    representative.  It prunes twice.  A vertex closes at its last incident
-    edge, whose multiplicity must bring its degree to 0 mod k: that edge steps
-    by k from the forced residue, and closing vertices that force different
-    residues cut the branch.  A branch is also cut when the degree deficits
-    sum_v ((-deg v) mod k) exceed k times the edges left in the budget.  Every
-    leaf is thus a Veblen vector, and only leaves build a MultiHypergraph."""
+    The tables of all orders up to d come at once from the walk over
+    multiplicity vectors or from injection counts of the free classes, count
+    = inj(G, host) / |Aut(G)|, whichever an estimate from k, n, the edge
+    count and d prefers (module docstring).  Both give the same tables.  They
+    serve later calls on the host up to that order until another host is
+    enumerated, so a caller that needs several orders asks for the largest first."""
     require_simple(host)
     if d <= 0:
         return ()

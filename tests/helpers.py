@@ -1,18 +1,20 @@
 """Builders and the test-only oracles shared across test modules: Euler
 circuits by brute force, power sums by walk enumeration, class weights over
-listed orientations, the simplex recurrence, the composition scan and the
-exhaustive canonical-labeling search."""
+listed orientations and (at k=2) over closed trails, the simplex recurrence
+and spectrum predictions, the composition scan, labeled counts by injection
+counting and the exhaustive canonical-labeling search."""
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, prod
+from itertools import combinations, permutations
+from math import comb, factorial, prod
 
 from hypersachs.canon import canonical_form
 from hypersachs.digraph import arborescence_count, is_eulerian
-from hypersachs.errors import NotEulerian, SizeExceeded
+from hypersachs.errors import DomainError, NormalizationFailure, NotConnected, NotEulerian, NotVeblen, SizeExceeded
 from hypersachs.hypergraph import MultiHypergraph, _compositions, components, is_connected, is_veblen
 from hypersachs.rooting import euler_orientations
-from hypersachs.simplex import cycle_factor
+from hypersachs.simplex import _cycles_of, cycle_factor
 from hypersachs.traces import _WalkExpansion
 
 
@@ -111,6 +113,56 @@ def orientation_weight(H):
     return Fraction(total, denom)
 
 
+MAX_TRAIL_EDGES = 12
+
+
+def graph_assoc_coeff(G):
+    """Associated coefficient of a connected even multigraph, from first
+    principles: closed trails through every edge copy, over rotations and
+    copy relabelings.  Oracle for the class weights at k=2.
+
+    Counts pointed closed trails T over distinguishable edge copies; every
+    circular trail is aperiodic in the copies, so T / (#copies) is the
+    circuit count and C = T / (#copies * prod_e m(e)!).
+    """
+    if G.k != 2:
+        raise DomainError(f"expected an ordinary graph (k=2), got k={G.k}")
+    if not is_veblen(G):
+        raise NotVeblen("trail counting needs every degree even")
+    if not is_connected(G):
+        raise NotConnected("trail counting needs a connected multigraph")
+    copies = []
+    for (u, v), m in G.edges:
+        copies.extend([(u, v)] * m)
+    L = len(copies)
+    if L == 0:
+        raise DomainError("empty multigraph has no circuits")
+    if L > MAX_TRAIL_EDGES:
+        raise SizeExceeded(f"trail counting bounded at {MAX_TRAIL_EDGES} edge copies")
+    touch = {}
+    for i, (u, v) in enumerate(copies):
+        touch.setdefault(u, []).append(i)
+        touch.setdefault(v, []).append(i)
+    full = (1 << L) - 1
+
+    def walks(cur, used, home):
+        if used == full:
+            return 1 if cur == home else 0
+        t = 0
+        for i in touch[cur]:
+            bit = 1 << i
+            if not used & bit:
+                u, v = copies[i]
+                t += walks(v if cur == u else u, used | bit, home)
+        return t
+
+    T = sum(walks(s, 0, s) for s in touch)
+    q, r = divmod(T, L)
+    if r:
+        raise NormalizationFailure(f"pointed trail count {T} does not split into rotation classes of {L}")
+    return Fraction(q, prod(factorial(m) for _, m in G.edges))
+
+
 def derangement_cycle_sum_recurrence(k):
     """Oracle for simplex._derangement_cycle_sum: the sum over derangements
     of [k+1] of prod_cycles cycle_factor, by the O(k^2) exponential-formula
@@ -125,6 +177,104 @@ def derangement_cycle_sum_recurrence(k):
             acc += cycle_factor(k, j) * (fact[d - 1] // fact[d - j]) * Q[d - j]
         Q[d] = acc
     return Q[m]
+
+
+# ----------------------------------------------------------------------
+# Simplex oracles: the spectrum of M_sigma - J predicted from a derangement's
+# cycle type, with the integer polynomial arithmetic it needs, and the
+# arborescence count of a derangement orientation from its cycle type.
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials given as coefficient lists (leading first)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def poly_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """Exact quotient a / b for integer polynomials (leading coefficients first)."""
+    a = a[:]
+    out = []
+    lead = b[0]
+    for i in range(len(a) - len(b) + 1):
+        q, r = divmod(a[i], lead)
+        if r:
+            raise NormalizationFailure("polynomial division must be exact")
+        out.append(q)
+        for j, y in enumerate(b):
+            a[i + j] -= q * y
+    if any(a):
+        raise NormalizationFailure("polynomial division must be exact")
+    return out
+
+
+@dataclass(frozen=True)
+class SpectrumPrediction:
+    """Predicted eigenvalue multiset of M_sigma - J (permutation matrix minus
+    all-ones) for a permutation of [size]: every l-th root of unity per
+    l-cycle, with one eigenvalue 1 removed overall, plus the integer 1-size.
+
+    Roots of unity are kept symbolic as (cycle_length, exponent) pairs.
+    """
+
+    size: int
+    cycle_lengths: tuple[int, ...]
+    unity_roots: tuple[tuple[int, int], ...]
+    integer_eigenvalue: int
+
+    def charpoly(self) -> tuple[int, ...]:
+        """Predicted characteristic polynomial det(xI - (M_sigma - J)),
+        leading coefficient first: (x + size - 1) * prod(x^l - 1) / (x - 1)."""
+        poly = (1,)
+        for length in self.cycle_lengths:
+            poly = poly_mul(poly, (1,) + (0,) * (length - 1) + (-1,))
+        poly = poly_exact_div(poly, (1, -1))
+        return poly_mul(poly, (1, self.size - 1))
+
+
+def predicted_spectrum_MJ(sigma) -> SpectrumPrediction:
+    """Spectrum of M_sigma - J predicted from sigma's cycle type alone."""
+    sigma = tuple(sigma)
+    cycles = _cycles_of(sigma)
+    lengths = tuple(len(c) for c in cycles)
+    roots: list[tuple[int, int]] = []
+    removed = False
+    for length in lengths:
+        for j in range(length):
+            if j == 0 and not removed:
+                removed = True
+                continue
+            roots.append((length, j))
+    return SpectrumPrediction(
+        size=len(sigma),
+        cycle_lengths=lengths,
+        unity_roots=tuple(roots),
+        integer_eigenvalue=1 - len(sigma),
+    )
+
+
+def simplex_tau_formula(k: int, p) -> int:
+    """Arborescence count of a derangement orientation from its cycle type:
+    prod of cycle factors divided by (k+1)^2, checked integral."""
+    value = prod(cycle_factor(k, length) for length in p.parts)
+    tau, rem = divmod(value, (k + 1) ** 2)
+    if rem:
+        raise NormalizationFailure(f"cycle-factor product {value} is not divisible by (k+1)^2")
+    return tau
+
+
+def single_edge_profile(v: int, t: int) -> int:
+    """Codegree-3t coefficient of the single-edge host on v vertices:
+    (-1)^t binom(3*2^{v-3}, t).  Zero once t passes the binomial width."""
+    if v < 3:
+        raise DomainError("a 3-uniform edge needs at least 3 ambient vertices")
+    if t < 0:
+        raise DomainError("t must be nonnegative")
+    return (-1) ** t * comb(3 * 2 ** (v - 3), t)
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +427,7 @@ def exponential_formula_coefficients(terms, max_d):
 
 
 # ----------------------------------------------------------------------
-# Composition-scan oracle for host-relative enumeration.
+# Composition-scan and injection-count oracles for host-relative enumeration.
 
 
 def scan_infragraph_classes(host, d):
@@ -295,6 +445,26 @@ def scan_infragraph_classes(host, d):
         hit = out.setdefault(canonical_form(rep), [rep, 0])
         hit[1] += 1
     return out
+
+
+def labeled_counts_by_injection(host, graphs):
+    """Labeled count in the simple host of each connected graph's class: the
+    injective maps of its vertices into the host's non-isolated vertices
+    that send every support edge to a host edge, over |Aut| from
+    `oracle_canon`.  Oracle for the host tables of either route; it uses
+    neither the package's canonical search nor its enumerators."""
+    host_edges = set(host.support)
+    counts = []
+    for G in graphs:
+        verts = G.non_isolated
+        maps = 0
+        for image in permutations(host.non_isolated, len(verts)):
+            at = dict(zip(verts, image))
+            maps += all(tuple(sorted(at[v] for v in e)) in host_edges for e in G.support)
+        count, rem = divmod(maps, oracle_canon(G)[1])
+        assert rem == 0, (G.edges, maps)
+        counts.append(count)
+    return counts
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from helpers import (
     all_labeled_graphs,
     all_simple_3graphs,
     exponential_formula_coefficients,
+    graph_assoc_coeff,
     newton_coefficients,
     random_3graph,
     random_graph,
@@ -39,7 +40,6 @@ from hypersachs.catalog import (
 )
 from hypersachs.classical import (
     charpoly_graph,
-    graph_assoc_coeff,
     harary_sachs_coeffs,
     partition_sum_check,
     threshold_search,

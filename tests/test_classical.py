@@ -6,18 +6,15 @@ from math import comb
 
 import pytest
 
-from helpers import all_labeled_graphs, graph2, random_graph
+from helpers import MAX_TRAIL_EDGES, all_labeled_graphs, graph2, graph_assoc_coeff, random_graph, single_edge_profile
 from hypersachs.catalog import cycle_graph, path_graph
 from hypersachs.classical import (
     MAX_CHARPOLY_VERTICES,
     MAX_PARTITION_EDGES,
-    MAX_TRAIL_EDGES,
     charpoly_graph,
     elementary_subgraphs,
-    graph_assoc_coeff,
     harary_sachs_coeffs,
     partition_sum_check,
-    single_edge_profile,
     threshold_search,
     threshold_single_edge,
 )

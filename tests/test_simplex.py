@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import derangement_cycle_sum_recurrence
+from helpers import derangement_cycle_sum_recurrence, predicted_spectrum_MJ, simplex_tau_formula
 from hypersachs.catalog import complete_kgraph
 from hypersachs.digraph import arborescence_count, is_eulerian
 from hypersachs.errors import DomainError
@@ -19,10 +19,8 @@ from hypersachs.simplex import (
     cycle_factor,
     derangements_by_type,
     partitions_min2,
-    predicted_spectrum_MJ,
     simplex_Ck,
     simplex_orientation,
-    simplex_tau_formula,
 )
 
 CK = {

@@ -3,10 +3,17 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import perm
 
 import pytest
 
-from helpers import random_3graph, random_graph, scan_infragraph_classes
+from helpers import (
+    labeled_counts_by_injection,
+    oracle_canon,
+    random_3graph,
+    random_graph,
+    scan_infragraph_classes,
+)
 from hypersachs import rooting, veblen_enum
 from hypersachs.canon import canonical_form
 from hypersachs.catalog import (
@@ -97,10 +104,10 @@ def test_six_edge_coefficient_multiset():
 @pytest.mark.parametrize("d", [5, 6])
 def test_free_enumeration_matches_complete_host(d):
     # every connected class with d <= 6 edges embeds in the complete
-    # 3-uniform host on six vertices; the two enumeration routes are
+    # 3-uniform host on six vertices; the walk and free enumeration are
     # independent code paths
     K6 = MultiHypergraph.build(3, 6, combinations(range(1, 7), 3))
-    host_codes = {r.code for r in connected_infragraph_classes(K6, d)}
+    host_codes = set(veblen_enum._walk_tables(K6, d)[d - 1])
     free_codes = {r.code for r in enumerate_connected_veblen(3, d)}
     assert host_codes == free_codes
 
@@ -248,3 +255,83 @@ def test_class_weights_computed_once(monkeypatch):
     assert classes > 0
     assert len(calls) == classes
     assert table == codegree_coefficients(fano_plane(), 9)
+
+
+FAMILIES = ["fano", "fano_minus_two", "k5", "simplex4", "graphs", "random3"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_labeled_counts_certified_by_injections(family):
+    # a class G occurs in inj(G, host) / |Aut(G)| multiplicity functions; the
+    # oracle counts the injections by brute force and takes |Aut| from
+    # oracle_canon, so it shares no code with either route
+    for host, top in _oracle_hosts(family):
+        veblen_enum.clear_caches()
+        for d in range(top, 0, -1):
+            records = connected_infragraph_classes(host, d)
+            want = labeled_counts_by_injection(host, [r.representative for r in records])
+            assert [r.labeled_count for r in records] == want
+
+
+@pytest.mark.parametrize("k,n,top", [(3, 5, 6), (3, 6, 6), (4, 5, 8), (2, 5, 6)])
+def test_complete_host_counts_are_falling_factorials_over_aut(k, n, top):
+    # on K_n^(k) every injection is an embedding: count = (n)_v / |Aut(G)|
+    host = MultiHypergraph.build(k, n, combinations(range(1, n + 1), k))
+    veblen_enum.clear_caches()
+    for d in range(top, 0, -1):
+        for r in connected_infragraph_classes(host, d):
+            G = r.representative
+            assert r.labeled_count * oracle_canon(G)[1] == perm(n, len(G.non_isolated))
+
+
+def _route_hosts():
+    for family in FAMILIES:
+        for host, top in _oracle_hosts(family):
+            # the free atlas costs seconds past order 7
+            yield host, min(top, 7)
+    yield MultiHypergraph.build(3, 6, combinations(range(1, 7), 3)), 6
+    yield MultiHypergraph.build(3, 8, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6), (1, 2, 4)]), 6
+
+
+def test_walk_and_counting_give_identical_tables():
+    # codes, labeled counts and representatives; the last host has two
+    # isolated vertices
+    for host, top in _route_hosts():
+        walk = veblen_enum._walk_tables(host, top)
+        assert veblen_enum._count_tables(host, top, veblen_enum.INJECTION_BUDGET) == walk
+
+
+def test_counting_raises_past_its_budget():
+    K6 = MultiHypergraph.build(3, 6, combinations(range(1, 7), 3))
+    with pytest.raises(SizeExceeded, match=r"injection count to order 6 over its budget; estimate .* s"):
+        veblen_enum._count_tables(K6, 6, 1000)
+
+
+# (k, n, host edges, order) of the benchmark's and Tier-1's hosts
+WALK_SHAPES = [
+    (3, 7, 5, 15), (3, 7, 6, 15), (3, 7, 7, 15),  # the plane family
+    (3, 4, 4, 11), (3, 3, 1, 11), (4, 4, 1, 11),  # K_4^(3) and single edges
+    (2, 7, 10, 7),  # certify's graphs
+    (4, 5, 5, 10), (4, 5, 5, 8),  # K_5^(4), in host-tables and Tier-1
+    (3, 5, 5, 3), (3, 6, 7, 3), (4, 5, 3, 2),  # certify's traces hosts
+    (3, 7, 7, 9), (3, 7, 7, 3),  # the Fano plane in Tier-1
+]
+COUNT_SHAPES = [(3, 6, 20, 6), (3, 7, 35, 6), (3, 8, 56, 7)]
+
+
+def test_route_choice_on_benchmark_hosts(monkeypatch):
+    veblen_enum.clear_caches()
+    for k, n, edges, d in WALK_SHAPES:
+        walk, count = veblen_enum._route_costs(k, n, edges, d)
+        assert walk <= count, (k, n, edges, d)
+    for k, n, edges, d in COUNT_SHAPES:
+        walk, count = veblen_enum._route_costs(k, n, edges, d)
+        assert count < walk, (k, n, edges, d)
+    # and _host_tables follows the estimate
+    calls = []
+    real = veblen_enum._count_tables
+    monkeypatch.setattr(veblen_enum, "_count_tables", lambda *a: calls.append(a[0]) or real(*a))
+    K6 = MultiHypergraph.build(3, 6, combinations(range(1, 7), 3))
+    connected_infragraph_classes(fano_plane(), 6)
+    connected_infragraph_classes(K6, 6)
+    assert calls == [K6]

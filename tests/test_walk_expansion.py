@@ -7,6 +7,7 @@ walk (`helpers.walk_enumeration_trace`) where that is affordable, and then
 use it to certify class weights where walk enumeration is not.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from hypersachs.catalog import (
 from hypersachs.classical import charpoly_graph
 from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.rooting import assoc_coeff_connected
-from hypersachs.traces import trace_bruteforce
+from hypersachs.traces import _WalkExpansion, trace_bruteforce
 
 F = Fraction
 
@@ -83,3 +84,20 @@ def test_certifies_every_catalogued_class_weight():
     for name, G in sorted(classes.items()):
         assert walk_weight(G) == assoc_coeff_connected(G), name
     assert walk_weight(REFERENCE_VEBLEN["v9_4"]) == F(27, 64)
+
+
+def test_trail_memo_bytes_per_state():
+    # three tripled lines of the Fano plane: the order-9 edge multiset with
+    # the most trail states (6539).  A state keyed by one packed integer
+    # costs a dict slot, the key and the count, about 100 bytes in all; a
+    # key holding a tuple of the 42 arc counts cost about 460.
+    expansion = _WalkExpansion(fano_plane())
+    mu = (0, 0, 0, 0, 3, 3, 3)
+    tracemalloc.start()
+    try:
+        expansion.edge_multiset_sum(mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert expansion.trail_states == 6539
+    assert peak / expansion.trail_states < 200
