@@ -20,6 +20,7 @@ def main() -> None:
 
     tally: Counter = Counter()
     exceptions = []
+    enumerate_connected_veblen(2, args.max_edges)  # one free tree fills every smaller order
     for d in range(2, args.max_edges + 1):
         for rec in enumerate_connected_veblen(2, d):
             G = rec.representative

@@ -65,8 +65,8 @@ def _refine(col: list[int], ncells: int, edges, inc) -> tuple[list[int], int]:
     """Equitable refinement of the colouring `col` (colours 0..ncells-1).
     Cells split in place, sub-cells ordered by their invariant keys."""
     while ncells < len(col):  # a discrete colouring cannot split
-        ekeys = [(mult, tuple(sorted([col[u] for u in e]))) for e, mult in edges]
-        keys = [(c, tuple(sorted([ekeys[i] for i in inc[v]]))) for v, c in enumerate(col)]
+        ekeys = [(mult, tuple(sorted(map(col.__getitem__, e)))) for e, mult in edges]
+        keys = [(c, tuple(sorted(map(ekeys.__getitem__, inc[v])))) for v, c in enumerate(col)]
         distinct = sorted(set(keys))
         if len(distinct) == ncells:
             break
@@ -76,9 +76,10 @@ def _refine(col: list[int], ncells: int, edges, inc) -> tuple[list[int], int]:
     return col, ncells
 
 
-def _search(m: int, edges) -> tuple[tuple, int, list[tuple[int, ...]]]:
-    """Least leaf code, |Aut| and generators of Aut (tuples of vertex images)
-    of a connected graph on vertices 0..m-1, whose edge labels are comparable."""
+def _search(m: int, edges) -> tuple[tuple, int, list[tuple[int, ...]], list[int]]:
+    """Least leaf code, |Aut|, generators of Aut (tuples of vertex images) and
+    the least leaf's labeling (vertex -> position) of a connected graph on
+    vertices 0..m-1, whose edge labels are comparable."""
     inc: list[list[int]] = [[] for _ in range(m)]
     for i, (e, _) in enumerate(edges):
         for v in e:
@@ -145,11 +146,13 @@ def _search(m: int, edges) -> tuple[tuple, int, list[tuple[int, ...]]]:
 
     col, ncells = _refine([0] * m, 1, edges, inc)
     node(col, ncells, [], True)
-    return best[0], aut, gens
+    return best[0], aut, gens, best[1]
 
 
-def _connected_code(k: int, verts, edges) -> tuple[CanonicalCode, int]:
-    """Code and |Aut| of the connected graph with these edges on `verts`."""
+def _connected_code(k: int, verts, edges) -> tuple[CanonicalCode, int, list, list[int]]:
+    """Code, |Aut|, generators of Aut and canonical labeling (as `_search`
+    gives them, on positions in `verts`) of the connected graph with these
+    edges on `verts`."""
     m = len(verts)
     if m > VERTEX_BOUND:
         raise SizeExceeded(
@@ -157,9 +160,9 @@ def _connected_code(k: int, verts, edges) -> tuple[CanonicalCode, int]:
         )
     index = {v: i for i, v in enumerate(verts)}
     local = [(tuple(index[v] for v in e), mult) for e, mult in edges]
-    code, aut, _ = _search(m, local) if m else ((), 1, [])
+    code, aut, gens, label = _search(m, local) if m else ((), 1, [], [])
     parts = [f"k{k}", f"n{m}"] + [",".join(map(str, e)) + f"x{mult}" for e, mult in code]
-    return CanonicalCode("|".join(parts).encode()), aut
+    return CanonicalCode("|".join(parts).encode()), aut, gens, label
 
 
 def _union_code(codes) -> CanonicalCode:
@@ -173,9 +176,9 @@ def canon_and_aut(H: MultiHypergraph) -> tuple[CanonicalCode, int]:
     """Canonical code together with |Aut(H)| (non-isolated vertices only)."""
     supports = component_supports(H)
     if len(supports) <= 1:
-        return _connected_code(H.k, H.non_isolated, H.edges)
+        return _connected_code(H.k, H.non_isolated, H.edges)[:2]
     parts = [
-        _connected_code(H.k, sorted(s), [(e, mult) for e, mult in H.edges if e[0] in s])
+        _connected_code(H.k, sorted(s), [(e, mult) for e, mult in H.edges if e[0] in s])[:2]
         for s in supports
     ]
     codes = [code for code, _ in parts]

@@ -221,20 +221,7 @@ def threshold_search(host: MultiHypergraph, dmax: int) -> ThresholdReport:
     if dmax < 1:
         raise DomainError("dmax must be at least 1")
     table = codegree_coefficients(host, dmax)
-    threshold = None
-    witness = None
-    for d in range(dmax, 0, -1):
-        c = table.coefficient(d)
-        if c != 0:
-            threshold = d
-            witness = c
-            break
-    exact = False
-    if (
-        host.k == 3
-        and _is_single_edge_host(host)
-        and threshold is not None
-        and threshold == threshold_single_edge(host.n)
-    ):
-        exact = True
+    threshold = next((d for d in range(dmax, 0, -1) if table.coefficient(d) != 0), None)
+    witness = None if threshold is None else table.coefficient(threshold)
+    exact = host.k == 3 and _is_single_edge_host(host) and threshold == threshold_single_edge(host.n)
     return ThresholdReport(host, host.n, dmax, threshold, witness, exact)

@@ -224,16 +224,6 @@ def _cmd_simplex(args) -> int:
     return 0
 
 
-def _all_labeled_graphs(n: int):
-    from itertools import combinations
-
-    pairs = list(combinations(range(1, n + 1), 2))
-    for mask in range(1 << len(pairs)):
-        yield MultiHypergraph.build(
-            2, n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        )
-
-
 def _check_one_graph(G: MultiHypergraph) -> str | None:
     cp = charpoly_graph(G)
     for d in range(G.n + 1):
@@ -244,19 +234,18 @@ def _check_one_graph(G: MultiHypergraph) -> str | None:
 
 def _cmd_classical_check(args) -> int:
     import random
-
-    hosts = []
-    for n in range(0, args.max_n + 1):
-        hosts.extend(_all_labeled_graphs(n))
-    exhaustive = len(hosts)
-    rng = random.Random(args.seed)
     from itertools import combinations
 
+    hosts = []
+    for n in range(0, args.max_n + 1):  # every labeled graph
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            hosts.append(MultiHypergraph.build(2, n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+    exhaustive = len(hosts)
+    rng = random.Random(args.seed)
     for _ in range(args.random_graphs):
         n = rng.randint(6, 8)
-        pairs = list(combinations(range(1, n + 1), 2))
-        edges = [e for e in pairs if rng.random() < 0.5]
-        hosts.append(MultiHypergraph.build(2, n, edges))
+        hosts.append(MultiHypergraph.build(2, n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5]))
     failures = [f for f in map(_check_one_graph, hosts) if f]
     if failures:
         for f in failures:
@@ -297,9 +286,9 @@ def _cmd_atlas_export(args) -> int:
     if (args.d is None) == (args.max_codegree is None):
         raise UsageError("give exactly one of --d or --max-codegree")
     sizes = [args.d] if args.d is not None else list(range(1, args.max_codegree + 1))
-    lines = []
-    for d in sizes:
-        lines.extend(_atlas_lines(args.k, d, with_coeffs=True))
+    # the largest order first: its free tree fills every smaller one
+    blocks = {d: _atlas_lines(args.k, d, with_coeffs=True) for d in reversed(sizes)}
+    lines = [line for d in sizes for line in blocks[d]]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.output == "-":
         sys.stdout.write(text)

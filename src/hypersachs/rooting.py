@@ -55,7 +55,7 @@ def _combo_orbits(m: int, edges, chosen, feasible) -> tuple[list, bool]:
     marked = [(f, (0, mult)) for f, mult in edges[i + 1:]]
     marked += [(f, (1, j)) for j, (f, _) in enumerate(edges[:i + 1])]
     marked += [((v,), (2, j, c)) for j, combo in enumerate(chosen) for v, c in zip(edges[j][0], combo) if c]
-    _, aut, gens = _search(m, marked)
+    _, aut, gens, _ = _search(m, marked)
     # a generator moves the count at position t of e to position e.index(g[e[t]])
     moves = [sorted(range(len(e)), key=lambda t: e.index(g[e[t]])) for g in gens]
     orbits, seen = [], set()

@@ -1,8 +1,12 @@
 """Enumeration of Veblen hypergraphs up to isomorphism.
 
-Free enumeration lists the connected classes of a given arity and edge count
-(with multiplicity), each with the |Aut| of its canonical search, by an
-orderly DFS over sorted edge sequences deduplicated by canonical code.
+Free enumeration lists the connected classes of arity k with j edges (with
+multiplicity), each with its |Aut|, for every j up to d from one tree of
+canonical augmentation (McKay, *Isomorph-free exhaustive generation*, J.
+Algorithms 26, 1998).  A node is a connected graph whose degree deficits can
+close within d edges.  Its children add one edge copy, one per orbit of
+Aut(node), and a child is kept iff its new edge lies in the Aut(child)-orbit
+of its canonical deletion, so each class appears once.
 
 Host-relative enumeration fills one table per order 1..d with the classes
 that multiplicity functions on a simple host's edges realize, their labeled
@@ -13,13 +17,13 @@ classes G of orders 1..d: count(G) = inj(G, host) / |Aut(G)|, inj counting
 the injective vertex maps that send each support edge of G to a host edge
 (Curticapean, Dell & Marx, STOC 2017).  The route estimated cheaper runs.
 In seconds, the walk costs WALK_S per vector of the bound C(d+E-1, E-1) on
-E host edges; counting costs ATLAS_S * ATLAS_GROWTH^((k-1)(j-k)) per free
-order j not stored, plus INJECTION_S * (n)_min(n,d) per class, taking
-CLASSES * k^(j-k) classes at an order not stored.  Orders below k or above
-MAX_FREE_EDGES take the walk.  The constants fit single runs on Python 3.11
-and 2 CPUs (README has the table): the walk took 0.8-9 us per bound vector
-(3 us on K_6^(3) to order 6), injections 1.9-5.3 us per unit, and each atlas
-order came within a factor of three of its term (3.5 s at k=3, j=8).
+E host edges; counting costs ATLAS_S * ATLAS_GROWTH^((k-1)(d-k)) for the
+free tree to d unless stored, plus INJECTION_S * (n)_min(n,d) per class,
+taking CLASSES * k^(j-k) classes at an order j not stored.  Orders below k
+or above MAX_FREE_EDGES take the walk.  The constants fit single runs on
+Python 3.11 and 2 CPUs (README has the table): the walk took 0.8-9 us per
+bound vector, injections 1.9-5.3 us per unit, and the free tree to d came
+within a factor of three of its term for k <= 4 (7.7 s at k=3, d=9).
 
 Occurrence counts of disconnected graphs in a host factor over components,
 divided by the symmetry of repeated components, so they can be non-integral.
@@ -33,7 +37,7 @@ from fractions import Fraction
 from math import comb, factorial, inf, perm
 from operator import itemgetter
 
-from .canon import VERTEX_BOUND, CanonicalCode, canon_and_aut, canonical_form
+from .canon import CanonicalCode, _connected_code, _refine, canonical_form
 from .errors import ConsistencyFailure, NormalizationFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, components, is_connected, require_simple
 from .rooting import _coeff_memo, assoc_coeff_connected
@@ -42,7 +46,7 @@ MAX_FREE_EDGES = 9
 
 # the host-table route estimate, in seconds (module docstring)
 WALK_S = INJECTION_S = 3e-6
-ATLAS_S, ATLAS_GROWTH, CLASSES = 3e-4, 2.55, 0.5
+ATLAS_S, ATLAS_GROWTH, CLASSES = 2.5e-4, 2.2, 0.5
 INJECTION_BUDGET = 10**9
 
 
@@ -85,11 +89,10 @@ def _sorted_records(by_code: dict, with_coeffs: bool, free: bool = False) -> tup
         rep, value = by_code[code]
         count, aut = (None, value) if free else (value, None)
         coeff = None
-        if with_coeffs:
-            # each class weight is computed once, into rooting's memo by code
-            coeff = _coeff_memo.get(code)
-            if coeff is None:
-                coeff = _coeff_memo[code] = assoc_coeff_connected(rep)
+        if with_coeffs:  # each class weight is computed once, into rooting's memo by code
+            if code not in _coeff_memo:
+                _coeff_memo[code] = assoc_coeff_connected(rep)
+            coeff = _coeff_memo[code]
         out.append(IsoClassRecord(code, rep, rep.edge_count, coeff, count, aut))
     return tuple(out)
 
@@ -97,110 +100,137 @@ def _sorted_records(by_code: dict, with_coeffs: bool, free: bool = False) -> tup
 _free_memo: dict[tuple[int, int], dict] = {}
 
 
-def enumerate_connected_veblen(
-    k: int, d: int, with_coeffs: bool = False
-) -> tuple[IsoClassRecord, ...]:
+def enumerate_connected_veblen(k: int, d: int, with_coeffs: bool = False) -> tuple[IsoClassRecord, ...]:
     """All connected Veblen isomorphism classes with arity k and exactly d
     edges counted with multiplicity, sorted by canonical code, each with
-    its |Aut| in `aut_count`.
-
-    Generation walks lexicographically non-decreasing edge sequences in which
-    new vertices appear as consecutive integers and every edge touches an
-    already-used vertex; every connected class has such a labeling, and
-    canonical codes collapse duplicates.
-    """
+    its |Aut| in `aut_count`.  One canonical-augmentation tree to order d
+    fills every order up to d, so a caller that needs several asks for the
+    largest first.  Each vertex p > 1 of a representative shares an edge with
+    a smaller vertex: it entered the tree with an edge through an old one."""
     if d > MAX_FREE_EDGES:
-        raise SizeExceeded(
-            f"free enumeration is limited to {MAX_FREE_EDGES} edges, got {d}"
-        )
+        raise SizeExceeded(f"free enumeration is limited to {MAX_FREE_EDGES} edges, got {d}")
     if d <= 0:
         return ()
-    by_code = _free_memo.get((k, d))
-    if by_code is None:
-        by_code = _free_memo[(k, d)] = _free_classes(k, d)
-    return _sorted_records(by_code, with_coeffs, free=True)
+    if (k, d) not in _free_memo:
+        for j, by_code in enumerate(_free_classes(k, d), start=1):
+            _free_memo[(k, j)] = by_code
+    return _sorted_records(_free_memo[(k, d)], with_coeffs, free=True)
 
 
-def _free_classes(k: int, d: int) -> dict:
-    """{code: (representative, |Aut|)} for enumerate_connected_veblen."""
-    max_verts = min(d, VERTEX_BOUND)
-    by_code: dict[CanonicalCode, tuple] = {}
-    deg: dict[int, int] = {}
-    seq: list[tuple[int, ...]] = []
+def _free_classes(k: int, top: int) -> list[dict]:
+    """[{code: (representative, |Aut|)} of order j for j = 1..top] from one
+    canonical-augmentation tree (module docstring).  A node is a connected
+    graph on vertices 0..n-1 whose degree deficits can close within `top`
+    edges; `masks` holds its edges' vertex bit sets, in the order of `edges`."""
+    tables: list[dict] = [{} for _ in range(top)]
 
-    def candidates(prev: tuple[int, ...], maxu: int):
-        # old vertices that may appear alongside a (possibly empty) run of new
-        # ones; the run must start at maxu+1
-        for j in range(0, k):
-            if maxu + j > max_verts:
-                break
-            new_run = tuple(range(maxu + 1, maxu + 1 + j))
-            for old in itertools.combinations(range(1, maxu + 1), k - j):
-                e = tuple(sorted(old + new_run))
-                if e >= prev:
-                    yield e
+    def visit(n: int, edges: dict, masks: list[int], deg: list[int], searched: tuple | None) -> None:
+        j = sum(edges.values())
+        left = top - j - 1  # edges to spare after the next one
+        deficit = [-x % k for x in deg]
+        total = sum(deficit)
+        # the next edge takes every vertex whose deficit exceeds `left`, and
+        # a closed or new vertex ends at deficit k - 1
+        urgent = tuple(v for v, x in enumerate(deficit) if x > left)
+        pool = [v for v, x in enumerate(deficit) if x <= left and (x or left >= k - 1)]
+        closed = {v for v in pool if not deficit[v]}
+        feasible = []  # each candidate edge's old vertices; k - len(old) new ones join them
+        for t in range(min(k, top - n + 1, k - len(urgent) + 1) if left >= k - 1 else int(left >= 0)):
+            room = k * left - total + (k - t) - t * (k - 1)  # k times the closed vertices allowed
+            for rest in itertools.combinations(pool, k - t - len(urgent)):
+                if k * len(closed.intersection(rest)) <= room:
+                    feasible.append(tuple(sorted(urgent + rest)))
+        # a class needs its code, and two candidates may share an orbit
+        if searched is None and (not total or len(feasible) > 1):
+            searched = _connected_code(k, range(n), list(edges.items()))
+        if not total:
+            rep = MultiHypergraph.build(k, n, [(tuple(v + 1 for v in e), m) for e, m in edges.items()])
+            tables[j - 1][searched[0]] = (rep, searched[1])
+        seen: set[tuple[int, ...]] = set()
+        for old in feasible:
+            if old not in seen:
+                seen |= _orbit(old, searched[2] if searched else [])
+                e = old + tuple(range(n, n + k - len(old)))
+                grown = dict(edges)
+                grown[e] = grown.get(e, 0) + 1
+                masks2 = masks if e in edges else masks + [sum(1 << v for v in e)]
+                deg2 = deg + [0] * (k - len(old))
+                for v in e:
+                    deg2[v] += 1
+                accepted, child = _canonical_augmentation(k, list(grown.items()), masks2, deg2, e)
+                if accepted:
+                    visit(len(deg2), grown, masks2, deg2, child)
 
-    def rec(prev: tuple[int, ...], maxu: int, remaining: int):
-        if remaining == 0:
-            deficits = sum((-dv) % k for dv in deg.values())
-            if deficits == 0:
-                counts: dict[tuple[int, ...], int] = {}
-                for e in seq:
-                    counts[e] = counts.get(e, 0) + 1
-                H = MultiHypergraph.build(k, maxu, tuple(counts.items()))
-                if not is_connected(H):
-                    raise ConsistencyFailure(f"free enumeration built a disconnected graph {H.edges}")
-                code, aut = canon_and_aut(H)
-                by_code.setdefault(code, (H, aut))
-            return
-        open_verts = [v for v, dv in deg.items() if dv % k != 0]
-        vmin = min(open_verts) if open_verts else None
-        for e in candidates(prev, maxu):
-            if vmin is not None and e[0] > vmin:
-                continue
-            for v in e:
-                deg[v] = deg.get(v, 0) + 1
-            total_def = sum((-dv) % k for dv in deg.values())
-            worst = max(((-dv) % k for dv in deg.values()), default=0)
-            if total_def <= k * (remaining - 1) and worst <= remaining - 1:
-                seq.append(e)
-                rec(e, max(maxu, e[-1] if e else maxu), remaining - 1)
-                seq.pop()
-            for v in e:
-                deg[v] -= 1
-                if deg[v] == 0:
-                    del deg[v]
+    if top >= k:
+        visit(k, {tuple(range(k)): 1}, [(1 << k) - 1], [1] * k, None)
+    return tables
 
-    first = tuple(range(1, k + 1))
-    for v in first:
-        deg[v] = 1
-    seq.append(first)
-    rec(first, k, d - 1)
-    seq.pop()
-    return by_code
+
+def _canonical_augmentation(
+    k: int, edges: list, masks: list[int], deg: list[int], e: tuple
+) -> tuple[bool, tuple | None]:
+    """Whether the last copy of edge e is the canonical deletion of the graph
+    with these edges (vertex bit sets `masks`) and degrees, and the
+    `_connected_code` made to decide, if any.  The canonical deletion is an
+    edge whose one copy leaves the graph connected, with the largest
+    (multiplicity, member degrees), then the largest root-refinement
+    colours; ties go to the edge whose canonical labels come first, up to Aut."""
+    n, mine = len(deg), [f for f, _ in edges].index(e)
+    inv = [(m, sorted(map(deg.__getitem__, f))) for f, m in edges]
+    ties = []
+    for i, (_, m) in enumerate(edges):
+        if inv[i] < inv[mine] or i != mine and m == 1 and not _connected_without(masks, i):
+            continue
+        if inv[i] > inv[mine]:
+            return False, None
+        ties.append(i)
+    if len(ties) > 1:
+        col = _refine([0] * n, 1, edges, [[i for i, (f, _) in enumerate(edges) if v in f] for v in range(n)])[0]
+        inv = [sorted(map(col.__getitem__, f)) for f, _ in edges]
+        if any(inv[i] > inv[mine] for i in ties):
+            return False, None
+        ties = [i for i in ties if inv[i] == inv[mine]]
+    if len(ties) == 1:
+        return True, None
+    searched = _connected_code(k, range(n), edges)
+    first = min((edges[i][0] for i in ties), key=lambda f: sorted(map(searched[3].__getitem__, f)))
+    return e in _orbit(first, searched[2]), searched
+
+
+def _orbit(s: tuple[int, ...], gens) -> set[tuple[int, ...]]:
+    """The images of the sorted vertex tuple s under the group that the
+    generators (tuples of vertex images) make."""
+    orbit, todo = {s}, [s]
+    for o in todo:  # grows until closed under the generators
+        for image in {tuple(sorted(map(g.__getitem__, o))) for g in gens} - orbit:
+            orbit.add(image)
+            todo.append(image)
+    return orbit
+
+
+def _connected_without(masks: list[int], skip: int) -> bool:
+    """Whether the edges with these vertex bit sets but masks[skip] connect."""
+    rest = masks[:skip] + masks[skip + 1:]
+    reached, before = rest[0], 0
+    while reached != before:
+        before = reached
+        for f in rest:
+            if f & reached:
+                reached |= f
+    return all(f & reached for f in rest)
 
 
 def count_all_veblen(k: int, d: int) -> int:
     """Number of Veblen isomorphism classes (connected or not, no isolated
-    vertices) with arity k and exactly d edges counted with multiplicity."""
-    if d <= 0:
-        return 0
-    per_size = [len(enumerate_connected_veblen(k, j)) for j in range(1, d + 1)]
-    dp = [0] * (d + 1)
-    dp[0] = 1
-    for j, classes in enumerate(per_size, start=1):
-        if classes == 0:
-            continue
-        nxt = [0] * (d + 1)
-        for t in range(d + 1):
-            if dp[t] == 0:
-                continue
-            mu = 0
-            while t + j * mu <= d:
-                nxt[t + j * mu] += dp[t] * comb(classes + mu - 1, mu)
-                mu += 1
-        dp = nxt
-    return dp[d]
+    vertices) with arity k and exactly d edges counted with multiplicity:
+    the coefficient of x^d in the product over connected classes C of
+    1 / (1 - x^|C|)."""
+    counts = [1] + [0] * max(d, 0)
+    for j in range(d, 0, -1):  # the largest order first: its tree fills the rest
+        for _ in enumerate_connected_veblen(k, j):
+            for t in range(j, d + 1):
+                counts[t] += counts[t - j]
+    return counts[d] if d > 0 else 0
 
 
 # the tables of the most recently walked host only, so a long-lived process
@@ -283,19 +313,17 @@ def _route_costs(k: int, n: int, edges: int, d: int) -> tuple[float, float]:
     walk = WALK_S * comb(d + edges - 1, d)
     if not k <= d <= MAX_FREE_EDGES:
         return walk, inf
-    atlas = classes = 0.0
-    for j in range(k, d + 1):
-        stored = _free_memo.get((k, j))
-        if stored is None:
-            atlas += ATLAS_S * ATLAS_GROWTH ** ((k - 1) * (j - k))
-        classes += CLASSES * k ** (j - k) if stored is None else len(stored)
+    # one free tree to d fills every order, so (k, d) stored means all are
+    atlas = 0 if (k, d) in _free_memo else ATLAS_S * ATLAS_GROWTH ** ((k - 1) * (d - k))
+    classes = sum(len(_free_memo[k, j]) if (k, j) in _free_memo else CLASSES * k ** (j - k) for j in range(k, d + 1))
     return walk, atlas + INJECTION_S * classes * perm(n, min(n, d))
 
 
 def _count_tables(host: MultiHypergraph, d: int, budget: int) -> list[dict]:
     """Class tables of orders 1..d by counting injections (module docstring).
     Vertex p > 1 of a free representative is placed among the host neighbours
-    of a smaller vertex's image, and an edge is checked at its largest vertex.
+    of a smaller vertex's image (a representative without one raises
+    ConsistencyFailure), and an edge is checked at its largest vertex.
     Keys list a vector's (-edge position, multiplicity) pairs by position, so
     they compare as the vectors do.  Over `budget` placements raise SizeExceeded."""
     edges = [e for e, _ in host.edges]
@@ -334,16 +362,16 @@ def _count_tables(host: MultiHypergraph, d: int, budget: int) -> list[dict]:
                         least = key
             del keys[depth:]
 
-    tables = []
-    for j in range(1, d + 1):
-        tables.append({})
+    tables: list[dict] = [{} for _ in range(d)]
+    for j in range(d, 0, -1):  # the largest order first: one free tree fills all
         for rec in enumerate_connected_veblen(host.k, j):
             G = rec.representative
-            checks, anchor = [[] for _ in range(G.n + 1)], list(range(G.n + 1))
+            checks = [[] for _ in range(G.n + 1)]
             for e, m in G.edges:
                 checks[e[-1]].append((itemgetter(*e), m))
-                for v in e[1:]:
-                    anchor[v] = min(anchor[v], e[0])
+            anchor = [min([e[0] for e in G.support if p in e[1:]], default=p) for p in range(G.n + 1)]
+            if any(anchor[p] == p for p in range(2, G.n + 1)):
+                raise ConsistencyFailure(f"free representative {G.edges} has a vertex with no smaller neighbour")
             found, least = 0, []
             place(1)
             count, rem = divmod(found, rec.aut_count)
@@ -351,7 +379,7 @@ def _count_tables(host: MultiHypergraph, d: int, budget: int) -> list[dict]:
                 raise NormalizationFailure(f"{found} injections do not split over |Aut| = {rec.aut_count}")
             if count:
                 rep = components(MultiHypergraph.build(host.k, host.n, [(edges[-i], m) for i, m in least]))[0]
-                tables[-1][rec.code] = [rep, count]
+                tables[j - 1][rec.code] = [rep, count]
     return tables
 
 
@@ -385,18 +413,11 @@ def count_infragraph(host: MultiHypergraph, H: MultiHypergraph) -> OccurrenceCou
         return OccurrenceCount(Fraction(1))
     class_mult: dict[CanonicalCode, list] = {}
     for comp in components(H):
-        code = canonical_form(comp)
-        if code not in class_mult:
-            class_mult[code] = [comp, 0]
-        class_mult[code][1] += 1
+        class_mult.setdefault(canonical_form(comp), [comp, 0])[1] += 1
     tables = _host_tables(host, max(comp.edge_count for comp, _ in class_mult.values()))
     value = Fraction(1)
     for code, (comp, mu) in class_mult.items():
-        hit = tables[comp.edge_count - 1].get(code)
-        n_comp = hit[1] if hit is not None else 0
-        if n_comp == 0:
-            return OccurrenceCount(Fraction(0))
-        value *= Fraction(n_comp) ** mu / factorial(mu)
+        value *= Fraction(tables[comp.edge_count - 1].get(code, (comp, 0))[1]) ** mu / factorial(mu)
     return OccurrenceCount(value)
 
 

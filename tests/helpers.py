@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 
-from hypersachs.canon import canonical_form
+from hypersachs.canon import canon_and_aut, canonical_form
 from hypersachs.digraph import arborescence_count, is_eulerian
 from hypersachs.errors import DomainError, NormalizationFailure, NotConnected, NotEulerian, NotVeblen, SizeExceeded
 from hypersachs.hypergraph import MultiHypergraph, _compositions, components, is_connected, is_veblen
@@ -465,6 +465,65 @@ def labeled_counts_by_injection(host, graphs):
         assert rem == 0, (G.edges, maps)
         counts.append(count)
     return counts
+
+
+# ----------------------------------------------------------------------
+# Free-class oracle: the orderly walk with deduplication by canonical code
+# that listed free classes before the canonical-augmentation tree.
+
+
+def free_classes_by_dedup(k, d):
+    """{code: |Aut|} of the connected Veblen classes with arity k and d edges.
+    It walks the lexicographically non-decreasing edge sequences in which new
+    vertices appear as consecutive integers and every edge touches a used
+    vertex, pruned by the degree deficits, and collapses them by canonical
+    code.  Oracle for the free atlas; it uses nothing from `veblen_enum`."""
+    max_verts = min(d, 16)
+    out = {}
+    deg = {}
+    seq = []
+
+    def candidates(prev, maxu):
+        for j in range(0, k):
+            if maxu + j > max_verts:
+                break
+            new_run = tuple(range(maxu + 1, maxu + 1 + j))
+            for old in combinations(range(1, maxu + 1), k - j):
+                e = tuple(sorted(old + new_run))
+                if e >= prev:
+                    yield e
+
+    def rec(prev, maxu, remaining):
+        if remaining == 0:
+            if all(dv % k == 0 for dv in deg.values()):
+                H = MultiHypergraph.build(k, maxu, seq)
+                assert is_connected(H), H.edges
+                code, aut = canon_and_aut(H)
+                out.setdefault(code, aut)
+            return
+        open_verts = [v for v, dv in deg.items() if dv % k]
+        for e in candidates(prev, maxu):
+            if open_verts and e[0] > min(open_verts):
+                continue
+            for v in e:
+                deg[v] = deg.get(v, 0) + 1
+            deficits = [-dv % k for dv in deg.values()]
+            if sum(deficits) <= k * (remaining - 1) and max(deficits) <= remaining - 1:
+                seq.append(e)
+                rec(e, max(maxu, e[-1]), remaining - 1)
+                seq.pop()
+            for v in e:
+                deg[v] -= 1
+                if deg[v] == 0:
+                    del deg[v]
+
+    if d < 1:
+        return out
+    first = tuple(range(1, k + 1))
+    deg.update(dict.fromkeys(first, 1))
+    seq.append(first)
+    rec(first, k, d - 1)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -235,6 +235,18 @@ def test_criterion_3_extended_order_8():
     assert elapsed < 1800
 
 
+def test_criterion_3_order_9():
+    # one canonical-augmentation tree to order 9 (on Python 3.11 and 2 CPUs
+    # the tree took 7-10 s, the deduplicating walk it replaced 42-76 s)
+    start = time.monotonic()
+    connected = len(enumerate_connected_veblen(3, 9))
+    everything = count_all_veblen(3, 9)
+    elapsed = time.monotonic() - start
+    print(f"CRITERION 3 (order 9): {'PASS' if (connected, everything) == (781, 795) else 'FAIL'} ({elapsed:.1f}s)")
+    assert (connected, everything) == (781, 795)
+    assert elapsed < 60
+
+
 SIMPLEX_CONSTANTS = (
     2,
     21,

@@ -187,7 +187,10 @@ def test_search_returns_generators_of_aut(H):
     verts = H.non_isolated
     index = {v: i for i, v in enumerate(verts)}
     edges = sorted((tuple(sorted(index[v] for v in e)), mult) for e, mult in H.edges)
-    _, aut, gens = _search(len(verts), edges)
+    code, aut, gens, label = _search(len(verts), edges)
+    # the least leaf's labeling produces the least leaf code
+    assert sorted(label) == list(range(len(verts)))
+    assert tuple(sorted((tuple(sorted(label[u] for u in e)), mult) for e, mult in edges)) == code
     for g in gens:
         assert sorted((tuple(sorted(g[u] for u in e)), mult) for e, mult in edges) == edges
     group = closure(gens, len(verts))

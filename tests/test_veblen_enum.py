@@ -8,6 +8,7 @@ from math import perm
 import pytest
 
 from helpers import (
+    free_classes_by_dedup,
     labeled_counts_by_injection,
     oracle_canon,
     random_3graph,
@@ -15,7 +16,7 @@ from helpers import (
     scan_infragraph_classes,
 )
 from hypersachs import rooting, veblen_enum
-from hypersachs.canon import canonical_form
+from hypersachs.canon import canon_and_aut, canonical_form
 from hypersachs.catalog import (
     REFERENCE_VEBLEN,
     complete_kgraph,
@@ -25,12 +26,13 @@ from hypersachs.catalog import (
     unsplittable_veblen,
 )
 from hypersachs.cli import dispatch
-from hypersachs.errors import SizeExceeded
+from hypersachs.errors import ConsistencyFailure, SizeExceeded
 from hypersachs.formats import serialize_hypergraph
 from hypersachs.hypergraph import MultiHypergraph, is_connected, is_veblen
 from hypersachs.traces import codegree_coefficients, trace_vector
 from hypersachs.veblen_enum import (
     MAX_FREE_EDGES,
+    IsoClassRecord,
     OccurrenceCount,
     connected_infragraph_classes,
     count_all_veblen,
@@ -38,8 +40,8 @@ from hypersachs.veblen_enum import (
     enumerate_connected_veblen,
 )
 
-CONNECTED_COUNTS = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 11, 7: 26}
-ALL_COUNTS = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 12, 7: 27}
+CONNECTED_COUNTS = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 11, 7: 26, 8: 122}
+ALL_COUNTS = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 12, 7: 27, 8: 125}
 
 
 @pytest.mark.parametrize("d", sorted(CONNECTED_COUNTS))
@@ -110,6 +112,67 @@ def test_free_enumeration_matches_complete_host(d):
     host_codes = set(veblen_enum._walk_tables(K6, d)[d - 1])
     free_codes = {r.code for r in enumerate_connected_veblen(3, d)}
     assert host_codes == free_codes
+
+
+@pytest.mark.parametrize("k,top", [(2, 8), (3, 7), (4, 6)])
+def test_free_tree_matches_dedup_oracle(k, top, monkeypatch):
+    # one tree to `top` fills every order; each order's classes and |Aut|
+    # equal those of the orderly walk that deduplicates by canonical code,
+    # and the tree reaches each class once, building one representative each
+    built = []
+    real = MultiHypergraph.build
+    monkeypatch.setattr(MultiHypergraph, "build", classmethod(lambda cls, *a: built.append(1) or real(*a)))
+    veblen_enum.clear_caches()
+    enumerate_connected_veblen(k, top)
+    assert len(built) == sum(len(veblen_enum._free_memo[k, d]) for d in range(1, top + 1))
+    monkeypatch.undo()
+    for d in range(1, top + 1):
+        got = {r.code: r.aut_count for r in enumerate_connected_veblen(k, d)}
+        assert got == free_classes_by_dedup(k, d), (k, d)
+
+
+@pytest.mark.parametrize("k,top", [(2, 8), (3, 7), (4, 6)])
+def test_free_representatives_have_smaller_neighbours(k, top):
+    # the anchor property the counting route relies on: every vertex p > 1
+    # of a representative shares an edge with a smaller vertex
+    for d in range(top, 0, -1):
+        for r in enumerate_connected_veblen(k, d):
+            G = r.representative
+            assert G.non_isolated == tuple(range(1, G.n + 1))
+            for p in range(2, G.n + 1):
+                assert any(p in e and e[0] < p for e in G.support), (G.edges, p)
+
+
+def test_counting_rejects_a_representative_without_smaller_neighbour(monkeypatch):
+    # vertex 2 of (1,3,4),(2,3,4) has no smaller neighbour, so the injection
+    # backtrack could not anchor it
+    G = MultiHypergraph.build(3, 4, [(1, 3, 4), (2, 3, 4)])
+    code, aut = canon_and_aut(G)
+    record = IsoClassRecord(code, G, G.edge_count, aut_count=aut)
+    monkeypatch.setattr(veblen_enum, "enumerate_connected_veblen", lambda k, j: (record,) if j == 2 else ())
+    K5 = MultiHypergraph.build(3, 5, combinations(range(1, 6), 3))
+    with pytest.raises(ConsistencyFailure, match="no smaller neighbour"):
+        veblen_enum._count_tables(K5, 3, veblen_enum.INJECTION_BUDGET)
+
+
+def test_one_free_tree_per_request(monkeypatch, tmp_path):
+    # each request builds one tree, to its largest order; a tree per order
+    # would call _free_classes once for each
+    calls = []
+    real = veblen_enum._free_classes
+    monkeypatch.setattr(veblen_enum, "_free_classes", lambda k, top: calls.append((k, top)) or real(k, top))
+    K6 = MultiHypergraph.build(3, 6, combinations(range(1, 7), 3))
+    out = tmp_path / "atlas.tsv"
+    runs = [
+        (lambda: dispatch(["atlas-export", "--k", "3", "--max-codegree", "7", "--output", str(out)]), (3, 7)),
+        (lambda: count_all_veblen(3, 7), (3, 7)),
+        (lambda: connected_infragraph_classes(K6, 6), (3, 6)),  # the counting route
+    ]
+    for run, tree in runs:
+        veblen_enum.clear_caches()
+        calls.clear()
+        run()
+        assert calls == [tree]
 
 
 def test_infragraph_classes_of_small_hosts():
@@ -316,7 +379,8 @@ WALK_SHAPES = [
     (3, 5, 5, 3), (3, 6, 7, 3), (4, 5, 3, 2),  # certify's traces hosts
     (3, 7, 7, 9), (3, 7, 7, 3),  # the Fano plane in Tier-1
 ]
-COUNT_SHAPES = [(3, 6, 20, 6), (3, 7, 35, 6), (3, 8, 56, 7)]
+# K_6^(3) to 8 took 1.4 s by counting (cold free tree) and 3.9-4.5 s by the walk
+COUNT_SHAPES = [(3, 6, 20, 6), (3, 6, 20, 8), (3, 7, 35, 6), (3, 8, 56, 7)]
 
 
 def test_route_choice_on_benchmark_hosts(monkeypatch):
