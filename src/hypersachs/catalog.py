@@ -26,24 +26,21 @@ def complete_kgraph(k: int) -> MultiHypergraph:
     )
 
 
+FANO_LINES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 5, 6), (3, 5, 7), (2, 4, 7), (3, 4, 6))
+
+
 def fano_plane() -> MultiHypergraph:
-    return MultiHypergraph.build(
-        3, 7, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 5, 6), (3, 5, 7), (2, 4, 7), (3, 4, 6)]
-    )
+    return MultiHypergraph.build(3, 7, FANO_LINES)
 
 
 def fano_minus_one() -> MultiHypergraph:
-    """Fano plane with one line removed."""
-    return MultiHypergraph.build(
-        3, 7, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 5, 6), (3, 5, 7), (2, 4, 7)]
-    )
+    """Fano plane with one line, (3, 4, 6), removed."""
+    return MultiHypergraph.build(3, 7, FANO_LINES[:6])
 
 
 def fano_minus_two() -> MultiHypergraph:
-    """Fano plane with two lines removed (a linear 5-edge 3-graph)."""
-    return MultiHypergraph.build(
-        3, 7, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 5, 6), (3, 5, 7)]
-    )
+    """Fano plane without (2, 4, 7) and (3, 4, 6): a linear 5-edge 3-graph."""
+    return MultiHypergraph.build(3, 7, FANO_LINES[:5])
 
 
 def unsplittable_veblen() -> MultiHypergraph:

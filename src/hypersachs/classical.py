@@ -211,10 +211,6 @@ class ThresholdReport:
         )
 
 
-def _is_single_edge_host(host: MultiHypergraph) -> bool:
-    return len(host.edges) == 1 and host.edges[0][1] == 1
-
-
 def threshold_search(host: MultiHypergraph, dmax: int) -> ThresholdReport:
     """Scan codegrees 1..dmax for the last nonzero coefficient."""
     require_simple(host)
@@ -223,5 +219,5 @@ def threshold_search(host: MultiHypergraph, dmax: int) -> ThresholdReport:
     table = codegree_coefficients(host, dmax)
     threshold = next((d for d in range(dmax, 0, -1) if table.coefficient(d) != 0), None)
     witness = None if threshold is None else table.coefficient(threshold)
-    exact = host.k == 3 and _is_single_edge_host(host) and threshold == threshold_single_edge(host.n)
+    exact = host.k == 3 and len(host.edges) == 1 and threshold == threshold_single_edge(host.n)
     return ThresholdReport(host, host.n, dmax, threshold, witness, exact)

@@ -68,18 +68,20 @@ def _edge_from_tokens(
             verts.append(int(t))
         except ValueError:
             raise ParseError(f"expected a vertex number, got {t!r}", line_no) from None
+    return _checked_edge(verts, k, n, line_no), mult
+
+
+def _checked_edge(verts: list[int], k: int, n: int, line: int | None, prefix: str = "") -> tuple[int, ...]:
+    """The sorted edge, once it has k distinct vertices in 1..n; errors carry
+    the line, if known, and start with `prefix`."""
     if len(verts) != k:
-        raise ArityError(
-            f"line {line_no}: edge has {len(verts)} vertices, expected k={k}"
-        )
+        raise ArityError(f"{prefix}edge has {len(verts)} vertices, expected k={k}", line)
     for v in verts:
         if not 1 <= v <= n:
-            raise VertexRangeError(
-                f"line {line_no}: vertex {v} outside 1..{n}"
-            )
-    if len(set(verts)) != len(verts):
-        raise ParseError("edge repeats a vertex", line_no)
-    return tuple(sorted(verts)), mult
+            raise VertexRangeError(f"{prefix}vertex {v} outside 1..{n}", line)
+    if len(set(verts)) != k:
+        raise ParseError(f"{prefix}edge repeats a vertex", line)
+    return tuple(sorted(verts))
 
 
 def _parse_lines(text: str) -> HypergraphDocument:
@@ -138,16 +140,7 @@ def _parse_structured(text: str) -> HypergraphDocument:
             isinstance(v, int) for v in verts_raw
         ):
             raise ParseError(f"edge record {i}: vertices must be integers", None)
-        if len(verts_raw) != k:
-            raise ArityError(
-                f"edge record {i} has {len(verts_raw)} vertices, expected k={k}"
-            )
-        for v in verts_raw:
-            if not 1 <= v <= n:
-                raise VertexRangeError(f"edge record {i}: vertex {v} outside 1..{n}")
-        if len(set(verts_raw)) != len(verts_raw):
-            raise ParseError(f"edge record {i} repeats a vertex", None)
-        key = tuple(sorted(verts_raw))
+        key = _checked_edge(verts_raw, k, n, None, f"edge record {i}: ")
         acc[key] = acc.get(key, 0) + mult
     return HypergraphDocument(k, n, tuple(sorted(acc.items())), name)
 

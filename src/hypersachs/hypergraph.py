@@ -61,11 +61,7 @@ class MultiHypergraph:
     # basic views
 
     def multiplicity(self, edge) -> int:
-        target = tuple(sorted(edge))
-        for e, m in self.edges:
-            if e == target:
-                return m
-        return 0
+        return dict(self.edges).get(tuple(sorted(edge)), 0)
 
     @property
     def edge_count(self) -> int:

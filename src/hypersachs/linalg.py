@@ -52,7 +52,6 @@ def charpoly_int(matrix: list[list[int]]) -> tuple[int, ...]:
     coeffs = [1]
     if n == 0:
         return tuple(coeffs)
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def mat_mul(a, b):
         return [
@@ -69,8 +68,7 @@ def charpoly_int(matrix: list[list[int]]) -> tuple[int, ...]:
         coeffs.append(q)
         if step == n:
             break
-        shifted = [
-            [work[i][j] + q * ident[i][j] for j in range(n)] for i in range(n)
-        ]
-        work = mat_mul(matrix, shifted)
+        for i in range(n):  # work + q I
+            work[i][i] += q
+        work = mat_mul(matrix, work)
     return tuple(coeffs)

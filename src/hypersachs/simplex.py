@@ -20,6 +20,7 @@ on inexact division).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -49,10 +50,7 @@ class PartitionMin2:
         return sum(self.parts)
 
     def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        return dict(Counter(self.parts))
 
 
 @dataclass(frozen=True)

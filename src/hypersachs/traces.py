@@ -193,10 +193,7 @@ def schur_P(d: int, ts) -> Fraction:
         raise ValueError(f"need at least {d} inputs, got {len(tvals)}")
     P = [Fraction(1)] + [Fraction(0)] * d
     for i in range(1, d + 1):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            acc += j * tvals[j - 1] * P[i - j]
-        P[i] = acc / i
+        P[i] = sum((j * tvals[j - 1] * P[i - j] for j in range(1, i + 1)), Fraction(0)) / i
     return P[d]
 
 
@@ -277,10 +274,4 @@ def codegree_coefficients(
                 raise ConsistencyFailure(
                     f"breakdown of c_{dv} sums to {total}, not {coefficients[dv]}"
                 )
-    return CoefficientTable(
-        host=host,
-        name=name,
-        max_codegree=max_codegree,
-        coefficients=coefficients,
-        breakdown=breakdown,
-    )
+    return CoefficientTable(host, name, max_codegree, coefficients, breakdown)

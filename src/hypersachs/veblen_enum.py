@@ -12,18 +12,21 @@ Host-relative enumeration fills one table per order 1..d with the classes
 that multiplicity functions on a simple host's edges realize, their labeled
 counts, and as representative the component of the lex-least such function.
 Two routes fill the same tables.  The walk visits the host's Veblen
-multiplicity vectors and canonicalizes each.  Counting takes the free
-classes G of orders 1..d: count(G) = inj(G, host) / |Aut(G)|, inj counting
-the injective vertex maps that send each support edge of G to a host edge
-(Curticapean, Dell & Marx, STOC 2017).  The route estimated cheaper runs.
-In seconds, the walk costs WALK_S per vector of the bound C(d+E-1, E-1) on
-E host edges; counting costs ATLAS_S * ATLAS_GROWTH^((k-1)(d-k)) for the
-free tree to d unless stored, plus INJECTION_S * (n)_min(n,d) per class,
-taking CLASSES * k^(j-k) classes at an order j not stored.  Orders below k
-or above MAX_FREE_EDGES take the walk.  The constants fit single runs on
-Python 3.11 and 2 CPUs (README has the table): the walk took 0.8-9 us per
-bound vector, injections 1.9-5.3 us per unit, and the free tree to d came
-within a factor of three of its term for k <= 4 (7.7 s at k=3, d=9).
+multiplicity vectors and canonicalizes one per orbit of Aut(host), whose
+generators come from each component's canonical search.  Counting takes the
+free classes G of orders 1..d: count(G) = inj(G, host) / |Aut(G)|, inj
+counting the injective vertex maps that send each support edge of G to a
+host edge (Curticapean, Dell & Marx, STOC 2017).  The route estimated
+cheaper runs; past WORK_BUDGET walk nodes or placements it raises
+SizeExceeded with its estimate.  In seconds, the walk costs WALK_S per
+vector of the bound C(d+E-1, E-1) on E host edges; counting costs ATLAS_S *
+ATLAS_GROWTH^((k-1)(d-k)) for the free tree to d unless stored, plus
+INJECTION_S * (n)_min(n,d) per class, taking CLASSES * k^(j-k) classes at an
+order j not stored.  Orders below k or above MAX_FREE_EDGES take the walk.
+The constants fit single runs on Python 3.11 and 2 CPUs (README has the
+table): the walk, unpruned by Aut(host), took 0.8-9 us per bound vector,
+injections 1.9-5.3 us per unit, and the free tree to d came within a
+factor of three of its term for k <= 4 (7.7 s at k=3, d=9).
 
 Occurrence counts of disconnected graphs in a host factor over components,
 divided by the symmetry of repeated components, so they can be non-integral.
@@ -37,9 +40,9 @@ from fractions import Fraction
 from math import comb, factorial, inf, perm
 from operator import itemgetter
 
-from .canon import CanonicalCode, _connected_code, _refine, canonical_form
+from .canon import VERTEX_BOUND, CanonicalCode, _connected_code, _refine, canonical_form
 from .errors import ConsistencyFailure, NormalizationFailure, SizeExceeded
-from .hypergraph import MultiHypergraph, components, is_connected, require_simple
+from .hypergraph import MultiHypergraph, component_supports, components, is_connected, require_simple
 from .rooting import _coeff_memo, assoc_coeff_connected
 
 MAX_FREE_EDGES = 9
@@ -47,7 +50,7 @@ MAX_FREE_EDGES = 9
 # the host-table route estimate, in seconds (module docstring)
 WALK_S = INJECTION_S = 3e-6
 ATLAS_S, ATLAS_GROWTH, CLASSES = 2.5e-4, 2.2, 0.5
-INJECTION_BUDGET = 10**9
+WORK_BUDGET = 10**9  # walk nodes or injection placements
 
 
 @dataclass(frozen=True)
@@ -198,8 +201,8 @@ def _canonical_augmentation(
 
 
 def _orbit(s: tuple[int, ...], gens) -> set[tuple[int, ...]]:
-    """The images of the sorted vertex tuple s under the group that the
-    generators (tuples of vertex images) make."""
+    """The images of the sorted tuple s (of vertices, or of the walk's edge
+    positions) under the group that the generators (tuples of images) make."""
     orbit, todo = {s}, [s]
     for o in todo:  # grows until closed under the generators
         for image in {tuple(sorted(map(g.__getitem__, o))) for g in gens} - orbit:
@@ -245,13 +248,13 @@ def _host_tables(host: MultiHypergraph, d: int) -> list[dict]:
     if tables is not None and len(tables) >= d:
         return tables
     walk, count = _route_costs(host.k, host.n, len(host.edges), d)
-    tables = _count_tables(host, d, INJECTION_BUDGET) if count < walk else _walk_tables(host, d)
+    tables = _count_tables(host, d) if count < walk else _walk_tables(host, d)
     _infra_memo.clear()
     _infra_memo[host] = tables
     return tables
 
 
-def _walk_tables(host: MultiHypergraph, d: int) -> list[dict]:
+def _walk_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> list[dict]:
     """Class tables of orders 1..d by one depth-first walk.  It visits the
     edges in `host.edges` order, each multiplicity ascending, so the vectors
     of one order come in lexicographic order and a class keeps its first.
@@ -259,26 +262,39 @@ def _walk_tables(host: MultiHypergraph, d: int) -> list[dict]:
     multiplicity must bring its degree to 0 mod k: that edge steps by k from
     the forced residue, and closing vertices that force different residues
     cut the branch.  A branch is also cut when the degree deficits sum_v
-    ((-deg v) mod k) exceed k times the edges left in the budget.  Every leaf
-    is thus a Veblen vector, and only leaves build a MultiHypergraph."""
+    ((-deg v) mod k) exceed k times the edges still to add.  Every leaf is
+    thus a Veblen vector.  Aut(host) keeps order, class and the Veblen
+    property, so only the first leaf of an orbit is built and canonicalized;
+    its other images wait in `pending` with its code, and one never reached
+    raises ConsistencyFailure.  Over `budget` walk nodes raise SizeExceeded."""
     k = host.k
     edges = [e for e, _ in host.edges]
+    perms = _edge_permutations(host, edges)
     last = {v: i for i, e in enumerate(edges) for v in e}
     closing = [[v for v in e if last[v] == i] for i, e in enumerate(edges)]
     deg = dict.fromkeys(last, 0)
     mu = [0] * len(edges)
     tables = [{} for _ in range(d)]
+    pending: dict[tuple[int, ...], CanonicalCode] = {}  # keyed like _orbit's tuples: edge positions, repeated
+    nodes = itertools.count(1)
 
     def leaf(used: int) -> None:
-        chosen = tuple((e, m) for e, m in zip(edges, mu) if m)
-        G = MultiHypergraph.build(k, host.n, chosen)
-        if not is_connected(G):
-            return
-        rep = components(G)[0]
-        hit = tables[used - 1].setdefault(canonical_form(rep), [rep, 0])
-        hit[1] += 1
+        key = tuple(i for i, m in enumerate(mu) for _ in range(m))
+        code = pending.pop(key, None)
+        if code is None:
+            G = MultiHypergraph.build(k, host.n, [(e, m) for e, m in zip(edges, mu) if m])
+            if not is_connected(G):
+                return
+            rep = components(G)[0]
+            code = canonical_form(rep)
+            tables[used - 1].setdefault(code, [rep, 0])
+            pending.update(dict.fromkeys(_orbit(key, perms) - {key}, code))
+        tables[used - 1][code][1] += 1
 
     def rec(i: int, used: int, deficit: int) -> None:
+        if next(nodes) > budget:
+            estimate = _route_costs(k, host.n, len(edges), d)[0]
+            raise SizeExceeded(f"host walk to order {d} over its budget; estimate {estimate:.3g} s")
         if i == len(edges):
             if used:
                 leaf(used)
@@ -304,7 +320,28 @@ def _walk_tables(host: MultiHypergraph, d: int) -> list[dict]:
                 deg[v] -= m
 
     rec(0, 0, 0)
+    if pending:
+        raise ConsistencyFailure(f"the walk never reached {len(pending)} image(s) of its vectors under Aut(host)")
     return tables
+
+
+def _edge_permutations(host: MultiHypergraph, edges: list) -> list[tuple[int, ...]]:
+    """Generators of Aut(host) as permutations of positions in `edges`: those
+    `_connected_code` finds on each host component of at most VERTEX_BOUND
+    vertices.  An edge image off the host raises ConsistencyFailure."""
+    position = {e: i for i, e in enumerate(edges)}
+    perms = []
+    for s in component_supports(host):
+        if len(s) > VERTEX_BOUND:
+            continue  # no generators: its part of the walk goes unpruned
+        verts, at = sorted(s), list(range(host.n + 1))
+        for g in _connected_code(host.k, verts, [(e, 1) for e in edges if e[0] in s])[2]:
+            for v, w in zip(verts, g):
+                at[v] = verts[w]
+            perms.append(tuple(position.get(tuple(sorted(map(at.__getitem__, e)))) for e in edges))
+            if None in perms[-1]:
+                raise ConsistencyFailure(f"generator {g} of a host component maps an edge off the host")
+    return perms
 
 
 def _route_costs(k: int, n: int, edges: int, d: int) -> tuple[float, float]:
@@ -319,7 +356,7 @@ def _route_costs(k: int, n: int, edges: int, d: int) -> tuple[float, float]:
     return walk, atlas + INJECTION_S * classes * perm(n, min(n, d))
 
 
-def _count_tables(host: MultiHypergraph, d: int, budget: int) -> list[dict]:
+def _count_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> list[dict]:
     """Class tables of orders 1..d by counting injections (module docstring).
     Vertex p > 1 of a free representative is placed among the host neighbours
     of a smaller vertex's image (a representative without one raises
@@ -332,15 +369,14 @@ def _count_tables(host: MultiHypergraph, d: int, budget: int) -> list[dict]:
     for e in edges:
         for v in e:
             nbrs.setdefault(v, set()).update(e)
-    img, bits, used, keys = [0] * (d + 1), [0] * (d + 1), set(), []
+    img, bits, used, keys, placed = [0] * (d + 1), [0] * (d + 1), set(), [], itertools.count(1)
 
     def place(p: int) -> None:
-        nonlocal budget, found, least
+        nonlocal found, least
         for x in nbrs[img[anchor[p]]] if p > 1 else nbrs:
             if x in used:
                 continue
-            budget -= 1
-            if budget < 0:
+            if next(placed) > budget:
                 estimate = _route_costs(host.k, host.n, len(edges), d)[1]
                 raise SizeExceeded(f"injection count to order {d} over its budget; estimate {estimate:.3g} s")
             img[p], bits[p] = x, 1 << x

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import perm
 
 import pytest
@@ -28,7 +28,7 @@ from hypersachs.catalog import (
 from hypersachs.cli import dispatch
 from hypersachs.errors import ConsistencyFailure, SizeExceeded
 from hypersachs.formats import serialize_hypergraph
-from hypersachs.hypergraph import MultiHypergraph, is_connected, is_veblen
+from hypersachs.hypergraph import MultiHypergraph, _compositions, is_connected, is_veblen
 from hypersachs.traces import codegree_coefficients, trace_vector
 from hypersachs.veblen_enum import (
     MAX_FREE_EDGES,
@@ -152,7 +152,7 @@ def test_counting_rejects_a_representative_without_smaller_neighbour(monkeypatch
     monkeypatch.setattr(veblen_enum, "enumerate_connected_veblen", lambda k, j: (record,) if j == 2 else ())
     K5 = MultiHypergraph.build(3, 5, combinations(range(1, 6), 3))
     with pytest.raises(ConsistencyFailure, match="no smaller neighbour"):
-        veblen_enum._count_tables(K5, 3, veblen_enum.INJECTION_BUDGET)
+        veblen_enum._count_tables(K5, 3, veblen_enum.WORK_BUDGET)
 
 
 def test_one_free_tree_per_request(monkeypatch, tmp_path):
@@ -272,10 +272,40 @@ def test_host_memo_keeps_only_the_last_host():
     assert len(veblen_enum._infra_memo) == 1
 
 
+def _fano_orbit_counts(top):
+    """Number of Aut(Fano) orbits of the connected Veblen vectors of each order
+    1..top on the Fano plane's edges, by brute force over the vertex
+    permutations that fix the edge set; nothing here comes from veblen_enum."""
+    fano = fano_plane()
+    position = {e: i for i, e in enumerate(fano.support)}
+    auts = []
+    for p in permutations(range(1, 8)):
+        images = [position.get(tuple(sorted(p[v - 1] for v in e))) for e in fano.support]
+        if None not in images:
+            auts.append(images)
+    assert len(auts) == 168
+    counts = [0] * (top + 1)
+    for d in range(1, top + 1):
+        least = set()
+        for mu in _compositions(d, len(position)):
+            G = fano.with_multiplicities(mu)
+            if is_veblen(G) and is_connected(G):
+                images = []
+                for a in auts:
+                    nu = [0] * len(mu)
+                    for i, j in enumerate(a):
+                        nu[j] = mu[i]
+                    images.append(tuple(nu))
+                least.add(min(images))
+        counts[d] = len(least)
+    return counts
+
+
 def test_one_host_walk_per_table(monkeypatch, tmp_path):
-    # the walk canonicalizes each connected Veblen vector once, so one walk to
-    # order D makes exactly as many canon calls as there are such vectors of
-    # order <= D; a walk per order would make more
+    # one walk to order D canonicalizes one connected Veblen vector per orbit
+    # of Aut(Fano), so it makes as many canon calls as there are such orbits
+    # of order <= D, fewer than the vectors; a walk per order would make more
+    orbits = _fano_orbit_counts(12)
     calls = []
     real = veblen_enum.canonical_form
     monkeypatch.setattr(
@@ -297,8 +327,52 @@ def test_one_host_walk_per_table(monkeypatch, tmp_path):
             for d in range(1, top + 1)
             for r in connected_infragraph_classes(fano_plane(), d)
         )
-        assert vectors > 0
-        assert len(calls) == vectors
+        assert 0 < len(calls) == sum(orbits[: top + 1]) < vectors
+
+
+def _two_fano_planes():
+    # planes on 1..7 and 8..14, each component with its own generators; 15 is isolated
+    lines = fano_plane().support
+    return MultiHypergraph.build(3, 15, list(lines) + [tuple(v + 7 for v in e) for e in lines])
+
+
+def _long_loose_path():
+    # one component on 17 vertices, over VERTEX_BOUND, so the walk gets no generators
+    return MultiHypergraph.build(3, 17, [(2 * i + 1, 2 * i + 2, 2 * i + 3) for i in range(8)])
+
+
+@pytest.mark.parametrize("make,generators", [(_two_fano_planes, True), (_long_loose_path, False)])
+def test_orbit_walk_matches_scan_and_injections(make, generators):
+    host = make()
+    assert bool(veblen_enum._edge_permutations(host, list(host.support))) == generators
+    tables = veblen_enum._walk_tables(host, 6)
+    for d in range(1, 7):
+        assert tables[d - 1] == scan_infragraph_classes(host, d), d
+        reps = [rep for rep, _ in tables[d - 1].values()]
+        assert [n for _, n in tables[d - 1].values()] == labeled_counts_by_injection(host, reps)
+    assert any(tables[5])
+
+
+def test_walk_rejects_a_generator_that_is_no_host_automorphism(monkeypatch):
+    # no transposition of two points preserves the Fano plane's lines
+    real = veblen_enum._connected_code
+
+    def with_transposition(k, verts, edges):
+        code, aut, gens, label = real(k, verts, edges)
+        return code, aut, gens + [(1, 0) + tuple(range(2, len(verts)))], label
+
+    monkeypatch.setattr(veblen_enum, "_connected_code", with_transposition)
+    with pytest.raises(ConsistencyFailure, match="maps an edge off the host"):
+        veblen_enum._walk_tables(fano_plane(), 6)
+
+
+def test_walk_rejects_images_it_never_reaches(monkeypatch):
+    # swapping the simplex edge (2,3,4) with the pendant edge (4,5,6) is no
+    # automorphism: it sends the simplex to a vector that is not Veblen
+    host = MultiHypergraph.build(3, 6, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (4, 5, 6)])
+    monkeypatch.setattr(veblen_enum, "_edge_permutations", lambda host, edges: [(0, 1, 2, 4, 3)])
+    with pytest.raises(ConsistencyFailure, match="never reached 1 image"):
+        veblen_enum._walk_tables(host, 4)
 
 
 def test_class_weights_computed_once(monkeypatch):
@@ -361,13 +435,19 @@ def test_walk_and_counting_give_identical_tables():
     # isolated vertices
     for host, top in _route_hosts():
         walk = veblen_enum._walk_tables(host, top)
-        assert veblen_enum._count_tables(host, top, veblen_enum.INJECTION_BUDGET) == walk
+        assert veblen_enum._count_tables(host, top, veblen_enum.WORK_BUDGET) == walk
 
 
 def test_counting_raises_past_its_budget():
     K6 = MultiHypergraph.build(3, 6, combinations(range(1, 7), 3))
     with pytest.raises(SizeExceeded, match=r"injection count to order 6 over its budget; estimate .* s"):
         veblen_enum._count_tables(K6, 6, 1000)
+
+
+def test_walk_raises_past_its_budget():
+    with pytest.raises(SizeExceeded, match=r"host walk to order 9 over its budget; estimate .* s"):
+        veblen_enum._walk_tables(fano_plane(), 9, 100)
+    assert veblen_enum._walk_tables(fano_plane(), 9) == veblen_enum._walk_tables(fano_plane(), 9, 10**4)
 
 
 # (k, n, host edges, order) of the benchmark's and Tier-1's hosts
