@@ -50,15 +50,6 @@ def charpoly_int(matrix: list[list[int]]) -> tuple[int, ...]:
     """
     n = len(matrix)
     coeffs = [1]
-    if n == 0:
-        return tuple(coeffs)
-
-    def mat_mul(a, b):
-        return [
-            [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
     work = [row[:] for row in matrix]
     for step in range(1, n + 1):
         trace = sum(work[i][i] for i in range(n))
@@ -70,5 +61,5 @@ def charpoly_int(matrix: list[list[int]]) -> tuple[int, ...]:
             break
         for i in range(n):  # work + q I
             work[i][i] += q
-        work = mat_mul(matrix, work)
+        work = [[sum(matrix[i][t] * work[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
     return tuple(coeffs)

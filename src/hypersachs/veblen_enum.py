@@ -16,17 +16,17 @@ multiplicity vectors and canonicalizes one per orbit of Aut(host), whose
 generators come from each component's canonical search.  Counting takes the
 free classes G of orders 1..d: count(G) = inj(G, host) / |Aut(G)|, inj
 counting the injective vertex maps that send each support edge of G to a
-host edge (Curticapean, Dell & Marx, STOC 2017).  The route estimated
-cheaper runs; past WORK_BUDGET walk nodes or placements it raises
-SizeExceeded with its estimate.  In seconds, the walk costs WALK_S per
-vector of the bound C(d+E-1, E-1) on E host edges; counting costs ATLAS_S *
-ATLAS_GROWTH^((k-1)(d-k)) for the free tree to d unless stored, plus
-INJECTION_S * (n)_min(n,d) per class, taking CLASSES * k^(j-k) classes at an
-order j not stored.  Orders below k or above MAX_FREE_EDGES take the walk.
-The constants fit single runs on Python 3.11 and 2 CPUs (README has the
-table): the walk, unpruned by Aut(host), took 0.8-9 us per bound vector,
-injections 1.9-5.3 us per unit, and the free tree to d came within a
-factor of three of its term for k <= 4 (7.7 s at k=3, d=9).
+host edge (Curticapean, Dell & Marx, STOC 2017).  Counting runs first when
+its free tree, ATLAS_S * ATLAS_GROWTH^((k-1)(d-k)) seconds or 0 once stored,
+is estimated cheaper than the walk's WALK_S per vector of the bound
+C(d+E-1, E-1) on E host edges by one placement at INJECTION_S or more; that
+difference is its budget, past which the walk fills the tables.  Orders
+below k or above MAX_FREE_EDGES take the walk.  Past WORK_BUDGET walk nodes
+or placements a route raises SizeExceeded with an estimate in seconds.  The
+constants fit single runs on Python 3.11 and 2 CPUs (README has the table):
+the walk, unpruned by Aut(host), took 0.8-9 us per bound vector, a placement
+1.1-2.2 us, and the free tree to d came within a factor of three of its term
+for k <= 4 (7.7 s at k=3, d=9).
 
 Occurrence counts of disconnected graphs in a host factor over components,
 divided by the symmetry of repeated components, so they can be non-integral.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, inf, perm
+from math import comb, factorial, inf
 from operator import itemgetter
 
 from .canon import VERTEX_BOUND, CanonicalCode, _connected_code, _refine, canonical_form
@@ -49,7 +49,7 @@ MAX_FREE_EDGES = 9
 
 # the host-table route estimate, in seconds (module docstring)
 WALK_S = INJECTION_S = 3e-6
-ATLAS_S, ATLAS_GROWTH, CLASSES = 2.5e-4, 2.2, 0.5
+ATLAS_S, ATLAS_GROWTH = 2.5e-4, 2.2
 WORK_BUDGET = 10**9  # walk nodes or injection placements
 
 
@@ -243,12 +243,20 @@ _infra_memo: dict[MultiHypergraph, list[dict]] = {}
 
 def _host_tables(host: MultiHypergraph, d: int) -> list[dict]:
     """The host's class tables {code: [representative, labeled count]} of
-    orders 1..D for some D >= d, by the route estimated cheaper unless stored."""
+    orders 1..D for some D >= d: stored, counted or walked (module docstring)."""
     tables = _infra_memo.get(host)
     if tables is not None and len(tables) >= d:
         return tables
-    walk, count = _route_costs(host.k, host.n, len(host.edges), d)
-    tables = _count_tables(host, d) if count < walk else _walk_tables(host, d)
+    walk, atlas = _route_costs(host.k, len(host.edges), d)
+    budget, tables = (walk - atlas) / INJECTION_S, None
+    if budget >= 1:  # counting first, within the walk's estimate
+        try:
+            tables = _count_tables(host, d, min(int(budget), WORK_BUDGET))
+        except SizeExceeded:
+            if budget >= WORK_BUDGET:  # the walk would cost more still
+                raise
+    if tables is None:
+        tables = _walk_tables(host, d)
     _infra_memo.clear()
     _infra_memo[host] = tables
     return tables
@@ -293,7 +301,7 @@ def _walk_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> li
 
     def rec(i: int, used: int, deficit: int) -> None:
         if next(nodes) > budget:
-            estimate = _route_costs(k, host.n, len(edges), d)[0]
+            estimate = _route_costs(k, len(edges), d)[0]
             raise SizeExceeded(f"host walk to order {d} over its budget; estimate {estimate:.3g} s")
         if i == len(edges):
             if used:
@@ -344,16 +352,14 @@ def _edge_permutations(host: MultiHypergraph, edges: list) -> list[tuple[int, ..
     return perms
 
 
-def _route_costs(k: int, n: int, edges: int, d: int) -> tuple[float, float]:
-    """Estimated seconds of the walk and of injection counting to order d on
-    a host with n vertices and `edges` edges of arity k (module docstring)."""
+def _route_costs(k: int, edges: int, d: int) -> tuple[float, float]:
+    """Estimated seconds of the walk to order d on a host with `edges` edges of
+    arity k, and of the free tree counting needs, inf if it cannot count."""
     walk = WALK_S * comb(d + edges - 1, d)
     if not k <= d <= MAX_FREE_EDGES:
         return walk, inf
     # one free tree to d fills every order, so (k, d) stored means all are
-    atlas = 0 if (k, d) in _free_memo else ATLAS_S * ATLAS_GROWTH ** ((k - 1) * (d - k))
-    classes = sum(len(_free_memo[k, j]) if (k, j) in _free_memo else CLASSES * k ** (j - k) for j in range(k, d + 1))
-    return walk, atlas + INJECTION_S * classes * perm(n, min(n, d))
+    return walk, 0 if (k, d) in _free_memo else ATLAS_S * ATLAS_GROWTH ** ((k - 1) * (d - k))
 
 
 def _count_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> list[dict]:
@@ -377,8 +383,8 @@ def _count_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> l
             if x in used:
                 continue
             if next(placed) > budget:
-                estimate = _route_costs(host.k, host.n, len(edges), d)[1]
-                raise SizeExceeded(f"injection count to order {d} over its budget; estimate {estimate:.3g} s")
+                estimate = INJECTION_S * budget
+                raise SizeExceeded(f"injection count to order {d} over its budget; estimate over {estimate:.3g} s")
             img[p], bits[p] = x, 1 << x
             depth = len(keys)
             for members, m in checks[p]:
@@ -427,8 +433,8 @@ def connected_infragraph_classes(
 
     The tables of all orders up to d come at once from the walk over
     multiplicity vectors or from injection counts of the free classes, count
-    = inj(G, host) / |Aut(G)|, whichever an estimate from k, n, the edge
-    count and d prefers (module docstring).  Both give the same tables.  They
+    = inj(G, host) / |Aut(G)|, tried first within the walk's estimate from
+    k, the edge count and d (module docstring).  Both give the same tables.  They
     serve later calls on the host up to that order until another host is
     enumerated, so a caller that needs several orders asks for the largest first."""
     require_simple(host)

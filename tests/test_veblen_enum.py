@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 from math import perm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     free_classes_by_dedup,
@@ -18,6 +19,7 @@ from helpers import (
 from hypersachs import rooting, veblen_enum
 from hypersachs.canon import canon_and_aut, canonical_form
 from hypersachs.catalog import (
+    FANO_LINES,
     REFERENCE_VEBLEN,
     complete_kgraph,
     fano_minus_two,
@@ -25,6 +27,7 @@ from hypersachs.catalog import (
     single_edge,
     unsplittable_veblen,
 )
+from hypersachs.classical import charpoly_graph
 from hypersachs.cli import dispatch
 from hypersachs.errors import ConsistencyFailure, SizeExceeded
 from hypersachs.formats import serialize_hypergraph
@@ -450,32 +453,115 @@ def test_walk_raises_past_its_budget():
     assert veblen_enum._walk_tables(fano_plane(), 9) == veblen_enum._walk_tables(fano_plane(), 9, 10**4)
 
 
-# (k, n, host edges, order) of the benchmark's and Tier-1's hosts
-WALK_SHAPES = [
-    (3, 7, 5, 15), (3, 7, 6, 15), (3, 7, 7, 15),  # the plane family
-    (3, 4, 4, 11), (3, 3, 1, 11), (4, 4, 1, 11),  # K_4^(3) and single edges
-    (2, 7, 10, 7),  # certify's graphs
-    (4, 5, 5, 10), (4, 5, 5, 8),  # K_5^(4), in host-tables and Tier-1
-    (3, 5, 5, 3), (3, 6, 7, 3), (4, 5, 3, 2),  # certify's traces hosts
-    (3, 7, 7, 9), (3, 7, 7, 3),  # the Fano plane in Tier-1
-]
-# K_6^(3) to 8 took 1.4 s by counting (cold free tree) and 3.9-4.5 s by the walk
-COUNT_SHAPES = [(3, 6, 20, 6), (3, 6, 20, 8), (3, 7, 35, 6), (3, 8, 56, 7)]
+def _spy_routes(monkeypatch) -> list:
+    """Wraps both table routes; the returned list logs (route, order,
+    outcome) for each call, outcome "filled" or "over budget"."""
+    log = []
+    for route in ("count", "walk"):
+        real = getattr(veblen_enum, f"_{route}_tables")
+
+        def spy(host, d, *budget, real=real, route=route):
+            try:
+                tables = real(host, d, *budget)
+            except SizeExceeded:
+                log.append((route, d, "over budget"))
+                raise
+            log.append((route, d, "filled"))
+            return tables
+
+        monkeypatch.setattr(veblen_enum, f"_{route}_tables", spy)
+    return log
+
+
+def _fill(host, d, log) -> list:
+    """The route log of one table fill from an empty host memo."""
+    veblen_enum._infra_memo.clear()
+    log.clear()
+    veblen_enum._host_tables(host, d)
+    return list(log)
+
+
+def _certify_graphs(rng, edges, count):
+    """Random graphs of certify's shape: 7 vertices, every one on an edge."""
+    pool = list(combinations(range(1, 8), 2))
+    graphs = []
+    while len(graphs) < count:
+        chosen = rng.sample(pool, edges)
+        if len({v for e in chosen for v in e}) == 7:
+            graphs.append(MultiHypergraph.build(2, 7, chosen))
+    return graphs
 
 
 def test_route_choice_on_benchmark_hosts(monkeypatch):
-    veblen_enum.clear_caches()
-    for k, n, edges, d in WALK_SHAPES:
-        walk, count = veblen_enum._route_costs(k, n, edges, d)
-        assert walk <= count, (k, n, edges, d)
-    for k, n, edges, d in COUNT_SHAPES:
-        walk, count = veblen_enum._route_costs(k, n, edges, d)
-        assert count < walk, (k, n, edges, d)
-    # and _host_tables follows the estimate
-    calls = []
-    real = veblen_enum._count_tables
-    monkeypatch.setattr(veblen_enum, "_count_tables", lambda *a: calls.append(a[0]) or real(*a))
+    # counting runs first while the free tree is estimated cheaper than the
+    # walk, within the difference; past it the walk fills the tables
+    log = _spy_routes(monkeypatch)
     K6 = MultiHypergraph.build(3, 6, combinations(range(1, 7), 3))
-    connected_infragraph_classes(fano_plane(), 6)
-    connected_infragraph_classes(K6, 6)
-    assert calls == [K6]
+    for host, d in [*((G, 7) for G in _certify_graphs(random.Random(31), 10, 4)), (K6, 6)]:
+        veblen_enum.clear_caches()
+        assert _fill(host, d, log) == [("count", d, "filled")], host.edges
+    # with a cold atlas the free tree alone is estimated dearer than the walk,
+    # and orders past MAX_FREE_EDGES always walk: the plane family, the
+    # breakdown's hosts and K_5^(4)
+    veblen_enum.clear_caches()
+    walked = [(MultiHypergraph.build(3, 7, FANO_LINES[:lines]), 15) for lines in (5, 6, 7)]
+    walked += [(single_edge(3), 11), (single_edge(4), 11), (complete_kgraph(3), 11)]
+    walked += [(complete_kgraph(4), 10), (complete_kgraph(4), 8), (fano_plane(), 9)]
+    for host, d in walked:
+        assert _fill(host, d, log) == [("walk", d, "filled")], (host.edges, d)
+    cold = veblen_enum._infra_memo[fano_plane()]
+    # with it stored, counting overruns the walk's 5005 bound vectors and the
+    # walk fills the same tables
+    enumerate_connected_veblen(3, 9)
+    assert _fill(fano_plane(), 9, log) == [("count", 9, "over budget"), ("walk", 9, "filled")]
+    assert veblen_enum._infra_memo[fano_plane()] == cold
+    # a budget bound by WORK_BUDGET re-raises: the walk would cost more still
+    monkeypatch.setattr(veblen_enum, "WORK_BUDGET", 1000)
+    with pytest.raises(SizeExceeded, match=r"injection count to order 9 over its budget; estimate over .* s"):
+        _fill(fano_plane(), 9, log)
+    assert log == [("count", 9, "over budget")]
+
+
+@pytest.mark.parametrize("edges", [9, 10, 11, 12])
+def test_counted_graphs_match_walk_and_charpoly(edges, monkeypatch):
+    # the graphs that certify's k=2 jobs now fill by counting: its tables
+    # equal the walk's, representatives included, and the coefficients the
+    # adjacency characteristic polynomial
+    log = _spy_routes(monkeypatch)
+    veblen_enum.clear_caches()
+    enumerate_connected_veblen(2, 7)  # stored, as after certify's first graph
+    for G in _certify_graphs(random.Random(edges), edges, 3):
+        log.clear()
+        table = codegree_coefficients(G, 7)
+        assert log == [("count", 7, "filled")]
+        assert tuple(table.coefficients) == tuple(Fraction(c) for c in charpoly_graph(G))
+        assert veblen_enum._count_tables(G, 7) == veblen_enum._walk_tables(G, 7)
+
+
+@st.composite
+def hosts_with_relabeling(draw):
+    """A host of arity 2 or 3 on at most 6 vertices, a relabeling of it, and
+    an order the counting route can fill."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(k, 6))
+    pool = list(combinations(range(1, n + 1), k))
+    edges = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+    image = draw(st.permutations(range(1, n + 1)))
+    host = MultiHypergraph.build(k, n, edges)
+    return host, host.relabeled({v: image[v - 1] for v in range(1, n + 1)}, n), draw(st.integers(k, 8 - k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hosts_with_relabeling())
+def test_routes_agree_under_relabeling(case):
+    # {code: labeled count} per order is the same by either route, on the
+    # host and on its relabeling
+    host, relabeled, d = case
+
+    def counts(tables):
+        return [{code: count for code, (_, count) in table.items()} for table in tables]
+
+    want = counts(veblen_enum._walk_tables(host, d))
+    assert counts(veblen_enum._count_tables(host, d)) == want
+    assert counts(veblen_enum._walk_tables(relabeled, d)) == want
+    assert counts(veblen_enum._count_tables(relabeled, d)) == want
