@@ -9,6 +9,7 @@ is a decimal string by construction.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="hypersachs", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -298,6 +300,9 @@ def _cmd_atlas_export(args) -> int:
 
 
 def dispatch(argv: list[str]) -> int:
+    """Run one command; the parser is built on the first call and reused, so
+    it holds the `_cmd_*` functions of that build: patch what a command
+    calls, not the command."""
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)

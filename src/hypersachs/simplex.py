@@ -9,13 +9,15 @@ count factors over cycle lengths l as (k^l + (-1)^{l+1}), up to division by
     C_k = [ sum over derangements of prod_cycles (k^l + (-1)^{l+1}) ]
           / ((k-1)(k+1)^2)
 
-By the exponential formula the bracketed sum is m! [x^m] of
-(1+x) e^{-mx} / (1-kx) with m = k+1, a sum of m terms taken here in O(k)
-big-integer steps.  Where the cycle types (partitions with parts >= 2) are
-few enough, the sum is also taken type by type and both must agree.  The
-divisor (k-1)(k+1)^2 reproduces every published value; printed variants that
-drop a (k+1) do not, and the normalization is checked (NormalizationFailure
-on inexact division).
+By the exponential formula the bracketed sum is m! [x^m] of (1+x) e^{-mx} /
+(1-kx) with m = k+1, a sum of m terms taken here in O(k) big-integer steps.
+Where the cycle types (partitions with parts >= 2) number at most
+CONTRIBUTION_CAP, the sum is also taken type by type and both must agree.
+Their count never falls as m grows (adding 1 to the largest part is an
+injection), so a DP that stops at the first m past the cap decides this, in
+constant time for large k.  The divisor (k-1)(k+1)^2 reproduces every
+published value; printed variants that drop a (k+1) do not, and the
+normalization is checked (NormalizationFailure on inexact division).
 """
 
 from __future__ import annotations
@@ -115,13 +117,18 @@ def _derangement_cycle_sum(k: int) -> int:
 
 
 def _min2_partition_count(m: int) -> int:
-    """Count of partitions of m with all parts >= 2 (p(m) - p(m-1) for m >= 1)."""
-    dp = [0] * (m + 1)
-    dp[0] = 1
-    for part in range(2, m + 1):
-        for s in range(part, m + 1):
-            dp[s] += dp[s - part]
-    return dp[m]
+    """Count of partitions of m with all parts >= 2, or CONTRIBUTION_CAP + 1
+    past the cap.  As the count is nondecreasing in m >= 1, the DP runs to
+    orders n = 2, 4, 8, ... and stops at m or at the first n past the cap."""
+    n = min(m, 2)
+    while True:
+        dp = [1] + [0] * n
+        for part in range(2, n + 1):
+            for s in range(part, n + 1):
+                dp[s] += dp[s - part]
+        if dp[n] > CONTRIBUTION_CAP or n == m:
+            return min(dp[n], CONTRIBUTION_CAP + 1)
+        n = min(m, 2 * n)
 
 
 def _ratio_string(num: int, den: int) -> str:

@@ -4,9 +4,10 @@ hypergraphs, all in exact rational arithmetic.
 `codegree_coefficients` has one assembly route.  Every connected class
 realized in the host contributes the additive term -(k-1)^n * weight *
 labeled count at its edge count; summing those terms per edge count gives
--Tr_d/d, and Newton's identities (`schur_P`) turn them into polynomial
-coefficients.  `trace_d` evaluates Tr_d from the same class data, so it is no
-certificate of the class weights.
+-Tr_d/d.  One pass of Newton's identities per table (`_newton`, which
+`schur_P` reads too) turns them into c_0..c_D in O(D^2) rational steps.
+`trace_d` evaluates Tr_d from the same class data, so it is no certificate
+of the class weights.
 
 `trace_bruteforce` certifies the power sums without any class data.  It
 evaluates the trace formula of the adjacency tensor (Morozov & Shakirov
@@ -183,18 +184,24 @@ def trace_bruteforce(host: MultiHypergraph, d: int, budget: int = 10_000_000) ->
     return _WalkExpansion(host, budget).trace(d)
 
 
-def schur_P(d: int, ts) -> Fraction:
-    """d-th complete-homogeneous-style polynomial in the power-sum inputs:
+def _newton(ts) -> list[Fraction]:
+    """P_0..P_len(ts) by one pass of Newton's recurrence:
     P_0 = 1, P_d = (1/d) * sum_{j=1..d} j * ts[j-1] * P_{d-j}."""
+    P = [Fraction(1)]
+    for i in range(1, len(ts) + 1):
+        P.append(sum((j * ts[j - 1] * P[i - j] for j in range(1, i + 1)), Fraction(0)) / i)
+    return P
+
+
+def schur_P(d: int, ts) -> Fraction:
+    """d-th complete-homogeneous-style polynomial in the power-sum inputs
+    (`_newton`'s P_d of the first d inputs)."""
     if d < 0:
         raise ValueError("order must be >= 0")
     tvals = [Fraction(t) for t in ts]
     if len(tvals) < d:
         raise ValueError(f"need at least {d} inputs, got {len(tvals)}")
-    P = [Fraction(1)] + [Fraction(0)] * d
-    for i in range(1, d + 1):
-        P[i] = sum((j * tvals[j - 1] * P[i - j] for j in range(1, i + 1)), Fraction(0)) / i
-    return P[d]
+    return _newton(tvals[:d])[d]
 
 
 def _class_terms(host: MultiHypergraph, max_d: int):
@@ -250,10 +257,10 @@ def codegree_coefficients(
     """Coefficients c_0..c_max_codegree of the host's characteristic
     polynomial (c_d multiplies x^(t-d) with t the polynomial degree).
 
-    The class terms are computed once; their per-edge-count sums feed
-    `schur_P`, and the optional breakdown splits each c_d over the same
-    terms.  A breakdown that does not sum to its coefficient raises
-    ConsistencyFailure.
+    The class terms are computed once; their per-edge-count sums feed one
+    pass of Newton's recurrence, and the optional breakdown splits each c_d
+    over the same terms.  A breakdown that does not sum to its coefficient
+    raises ConsistencyFailure.
     """
     require_simple(host)
     if max_codegree < 0:
@@ -262,7 +269,7 @@ def codegree_coefficients(
     ts = [Fraction(0)] * max_codegree
     for dd, _code, x in terms:
         ts[dd - 1] += x
-    coefficients = tuple(schur_P(dv, ts) for dv in range(max_codegree + 1))
+    coefficients = tuple(_newton(ts))
     breakdown = None
     if with_breakdown:
         breakdown = {

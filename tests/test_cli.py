@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypersachs import cli
 from hypersachs.cli import dispatch
 from hypersachs.simplex import MAX_K
 
@@ -182,6 +183,35 @@ def test_atlas_export_to_file(tmp_path, capsys):
 def test_usage_errors_exit_2(argv, capsys):
     assert dispatch(argv) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_dispatch_builds_its_parser_once(edge_file, monkeypatch):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli._build_parser.cache_clear()
+    try:
+        assert dispatch(["simplex-ck", "--k", "3"]) == 0
+        first = len(built)  # the top parser and its subparsers
+        assert dispatch(["coeffs", "--input", edge_file, "--max-codegree", "3", "--format", "csv"]) == 0
+        assert dispatch(["veblen", "count", "--k", "3", "--d", "4"]) == 0
+        assert len(built) == first > 0
+    finally:
+        cli._build_parser.cache_clear()
+
+
+def test_usage_error_leaves_the_shared_parser_usable(edge_file, capsys):
+    assert dispatch(["coeffs", "--input", edge_file]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert dispatch(["coeffs", "--input", edge_file, "--max-codegree", "3", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "0,1\n1,0\n2,0\n3,-3\n"
+    assert captured.err == ""
 
 
 def test_domain_errors_exit_1(tmp_path, capsys):

@@ -13,9 +13,11 @@ from hypersachs.errors import DomainError
 from hypersachs.linalg import charpoly_int
 from hypersachs.rooting import assoc_coeff_connected
 from hypersachs.simplex import (
+    CONTRIBUTION_CAP,
     MAX_K,
     PartitionMin2,
     _derangement_cycle_sum,
+    _min2_partition_count,
     cycle_factor,
     derangements_by_type,
     partitions_min2,
@@ -92,6 +94,20 @@ def test_contributions_listed_iff_under_cap():
     assert all(c > 0 for _, c in report.contributions)
     assert simplex_Ck(30).contributions is not None
     assert simplex_Ck(33).contributions is None
+
+
+def test_bounded_cycle_type_count_matches_the_listing():
+    # exact up to the cap, and cap + 1 from the first m past it on, which
+    # is where simplex_Ck stops listing: k = 33 is m = 34
+    m = 0
+    while True:
+        listed = len(partitions_min2(m))
+        assert _min2_partition_count(m) == min(listed, CONTRIBUTION_CAP + 1), m
+        if listed > CONTRIBUTION_CAP:
+            break
+        m += 1
+    assert m == 34
+    assert all(_min2_partition_count(m) == CONTRIBUTION_CAP + 1 for m in (35, 100, MAX_K + 1))
 
 
 def test_tau_anchors():
