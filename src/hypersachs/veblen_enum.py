@@ -10,23 +10,23 @@ of its canonical deletion, so each class appears once.
 
 Host-relative enumeration fills one table per order 1..d with the classes
 that multiplicity functions on a simple host's edges realize, their labeled
-counts, and as representative the component of the lex-least such function.
-Two routes fill the same tables.  The walk visits the host's Veblen
-multiplicity vectors and canonicalizes one per orbit of Aut(host), whose
-generators come from each component's canonical search.  Counting takes the
-free classes G of orders 1..d: count(G) = inj(G, host) / |Aut(G)|, inj
-counting the injective vertex maps that send each support edge of G to a
-host edge (Curticapean, Dell & Marx, STOC 2017).  Counting runs first when
-its free tree, ATLAS_S * ATLAS_GROWTH^((k-1)(d-k)) seconds or 0 once stored,
-is estimated cheaper than the walk's WALK_S per vector of the bound
-C(d+E-1, E-1) on E host edges by one placement at INJECTION_S or more; that
-difference is its budget, past which the walk fills the tables.  Orders
-below k or above MAX_FREE_EDGES take the walk.  Past WORK_BUDGET walk nodes
-or placements a route raises SizeExceeded with an estimate in seconds.  The
-constants fit single runs on Python 3.11 and 2 CPUs (README has the table):
-the walk, unpruned by Aut(host), took 0.8-9 us per bound vector, a placement
-1.1-2.2 us, and the free tree to d came within a factor of three of its term
-for k <= 4 (7.7 s at k=3, d=9).
+counts, and as representative a connected sub-multi-hypergraph of the host
+in the class.  Two routes give the same classes and counts, both pruned by
+Aut(host) generators from each component's canonical search.  The walk
+canonicalizes one Veblen vector per orbit; its representative is the least
+vector's component.  Counting takes the free classes G of orders 1..d:
+count(G) = inj(G, host) / |Aut(G)| (Curticapean, Dell & Marx, STOC 2017),
+inj counting the injective vertex maps that send each support edge of G to
+a host edge; vertex 1 goes on one host vertex per orbit, each injection
+counting the orbit's size, and a class keeps the image of its first
+embedding.  Counting runs first when its free tree, ATLAS_S *
+ATLAS_GROWTH^((k-1)(d-k)) seconds or 0 once stored, is estimated cheaper
+than the walk's WALK_S per vector of the bound C(d+E-1, E-1) on E host
+edges by one placement at INJECTION_S or more; that difference is its
+budget, past which the walk fills the tables.  Orders below k or above
+MAX_FREE_EDGES take the walk.  Past WORK_BUDGET walk nodes or placements a
+route raises SizeExceeded with an estimate in seconds.  The constants fit
+single runs on Python 3.11 and 2 CPUs; README has the table.
 
 Occurrence counts of disconnected graphs in a host factor over components,
 divided by the symmetry of repeated components, so they can be non-integral.
@@ -35,6 +35,8 @@ divided by the symmetry of repeated components, so they can be non-integral.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf
@@ -333,23 +335,28 @@ def _walk_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> li
     return tables
 
 
-def _edge_permutations(host: MultiHypergraph, edges: list) -> list[tuple[int, ...]]:
-    """Generators of Aut(host) as permutations of positions in `edges`: those
+def _vertex_generators(host: MultiHypergraph) -> Iterator[list[int]]:
+    """Generators of Aut(host) as vertex maps (index to image): those
     `_connected_code` finds on each host component of at most VERTEX_BOUND
-    vertices.  An edge image off the host raises ConsistencyFailure."""
-    position = {e: i for i, e in enumerate(edges)}
-    perms = []
+    vertices.  A map that sends an edge off the host raises ConsistencyFailure."""
+    support = set(host.support)
     for s in component_supports(host):
         if len(s) > VERTEX_BOUND:
-            continue  # no generators: its part of the walk goes unpruned
-        verts, at = sorted(s), list(range(host.n + 1))
-        for g in _connected_code(host.k, verts, [(e, 1) for e in edges if e[0] in s])[2]:
+            continue  # no generators: its vertices stay unpruned
+        verts, edges = sorted(s), [e for e in host.support if e[0] in s]
+        for g in _connected_code(host.k, verts, [(e, 1) for e in edges])[2]:
+            at = list(range(host.n + 1))
             for v, w in zip(verts, g):
                 at[v] = verts[w]
-            perms.append(tuple(position.get(tuple(sorted(map(at.__getitem__, e)))) for e in edges))
-            if None in perms[-1]:
+            if any(tuple(sorted(map(at.__getitem__, e))) not in support for e in edges):
                 raise ConsistencyFailure(f"generator {g} of a host component maps an edge off the host")
-    return perms
+            yield at
+
+
+def _edge_permutations(host: MultiHypergraph, edges: list) -> list[tuple[int, ...]]:
+    """The generators of `_vertex_generators` as permutations of positions in `edges`."""
+    position = {e: i for i, e in enumerate(edges)}
+    return [tuple(position[tuple(sorted(map(at.__getitem__, e)))] for e in edges) for at in _vertex_generators(host)]
 
 
 def _route_costs(k: int, edges: int, d: int) -> tuple[float, float]:
@@ -367,61 +374,54 @@ def _count_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> l
     Vertex p > 1 of a free representative is placed among the host neighbours
     of a smaller vertex's image (a representative without one raises
     ConsistencyFailure), and an edge is checked at its largest vertex.
-    Keys list a vector's (-edge position, multiplicity) pairs by position, so
-    they compare as the vectors do.  Over `budget` placements raise SizeExceeded."""
-    edges = [e for e, _ in host.edges]
-    position = {sum(1 << v for v in e): i for i, e in enumerate(edges)}  # by vertex bit set
+    Over `budget` placements raise SizeExceeded."""
+    edges = {sum(1 << v for v in e) for e in host.support}  # by vertex bit set
     nbrs: dict[int, set[int]] = {}
-    for e in edges:
+    for e in host.support:
         for v in e:
             nbrs.setdefault(v, set()).update(e)
-    img, bits, used, keys, placed = [0] * (d + 1), [0] * (d + 1), set(), [], itertools.count(1)
+    gens = list(_vertex_generators(host))
+    roots = Counter(min(_orbit((x,), gens))[0] for x in nbrs)  # least vertex of an orbit: its size
+    img, bits, used, placed = [0] * (d + 1), [0] * (d + 1), set(), itertools.count(1)
 
     def place(p: int) -> None:
-        nonlocal found, least
-        for x in nbrs[img[anchor[p]]] if p > 1 else nbrs:
+        nonlocal found, first
+        for x in nbrs[img[anchor[p]]] if p > 1 else roots:
             if x in used:
                 continue
             if next(placed) > budget:
                 estimate = INJECTION_S * budget
                 raise SizeExceeded(f"injection count to order {d} over its budget; estimate over {estimate:.3g} s")
             img[p], bits[p] = x, 1 << x
-            depth = len(keys)
-            for members, m in checks[p]:
-                i = position.get(sum(members(bits)))
-                if i is None:
+            for members in checks[p]:
+                if sum(members(bits)) not in edges:
                     break
-                keys.append((-i, m))
             else:
                 if p < len(checks) - 1:
                     used.add(x)
                     place(p + 1)
                     used.discard(x)
                 else:
-                    found += 1
-                    key = sorted(keys, reverse=True)
-                    if not least or key < least:
-                        least = key
-            del keys[depth:]
+                    found += roots[img[1]]
+                    first = first or img[:]
 
     tables: list[dict] = [{} for _ in range(d)]
     for j in range(d, 0, -1):  # the largest order first: one free tree fills all
         for rec in enumerate_connected_veblen(host.k, j):
             G = rec.representative
             checks = [[] for _ in range(G.n + 1)]
-            for e, m in G.edges:
-                checks[e[-1]].append((itemgetter(*e), m))
+            for e in G.support:
+                checks[e[-1]].append(itemgetter(*e))
             anchor = [min([e[0] for e in G.support if p in e[1:]], default=p) for p in range(G.n + 1)]
             if any(anchor[p] == p for p in range(2, G.n + 1)):
                 raise ConsistencyFailure(f"free representative {G.edges} has a vertex with no smaller neighbour")
-            found, least = 0, []
+            found, first = 0, []
             place(1)
             count, rem = divmod(found, rec.aut_count)
             if rem:
                 raise NormalizationFailure(f"{found} injections do not split over |Aut| = {rec.aut_count}")
             if count:
-                rep = components(MultiHypergraph.build(host.k, host.n, [(edges[-i], m) for i, m in least]))[0]
-                tables[j - 1][rec.code] = [rep, count]
+                tables[j - 1][rec.code] = [components(G.relabeled(dict(enumerate(first)), host.n))[0], count]
     return tables
 
 
@@ -429,12 +429,12 @@ def connected_infragraph_classes(
     host: MultiHypergraph, d: int, with_coeffs: bool = False
 ) -> tuple[IsoClassRecord, ...]:
     """Isomorphism classes of connected Veblen graphs with d edges realized by
-    multiplicity functions on the host's edge set, with labeled counts.
+    multiplicity functions on the host's edge set, with labeled counts and a
+    connected sub-multi-hypergraph of the host in the class, on 1..v.
 
-    The tables of all orders up to d come at once from the walk over
-    multiplicity vectors or from injection counts of the free classes, count
-    = inj(G, host) / |Aut(G)|, tried first within the walk's estimate from
-    k, the edge count and d (module docstring).  Both give the same tables.  They
+    The tables of all orders up to d come at once from the walk or from
+    injection counts of the free classes, tried first within the walk's
+    estimate (module docstring); both give the same classes and counts.  They
     serve later calls on the host up to that order until another host is
     enumerated, so a caller that needs several orders asks for the largest first."""
     require_simple(host)

@@ -250,7 +250,9 @@ def _oracle_hosts(family):
 @pytest.mark.parametrize(
     "family", ["fano", "fano_minus_two", "k5", "simplex4", "graphs", "random3"]
 )
-def test_host_walk_matches_composition_scan(family):
+def test_host_walk_matches_composition_scan(family, monkeypatch):
+    # walked representatives are the scan's; counted ones only lie in their class
+    log = _spy_routes(monkeypatch)
     for host, top in _oracle_hosts(family):
         expected = {d: scan_infragraph_classes(host, d) for d in range(1, top + 1)}
         # largest order first: every table comes from one walk to `top`;
@@ -259,11 +261,40 @@ def test_host_walk_matches_composition_scan(family):
             veblen_enum.clear_caches()
             for d in orders:
                 got = connected_infragraph_classes(host, d)
+                route = [route for route, _, outcome in log if outcome == "filled"][-1]
                 assert {r.code for r in got} == set(expected[d])
                 for r in got:
                     rep, count = expected[d][r.code]
                     assert r.labeled_count == count
-                    assert r.representative == rep
+                    if route == "walk":
+                        assert r.representative == rep
+                    else:
+                        _assert_counted_representative(host, r.code, r.representative)
+
+
+def _assert_counted_representative(host, code, rep):
+    # a counted representative is a connected graph in its class whose
+    # support, relabeled onto 1..v in order as `components` leaves it, lies
+    # in the host's
+    support = set(host.support)
+    assert canonical_form(rep) == code and is_connected(rep)
+    assert any(
+        all(tuple(image[v - 1] for v in e) in support for e in rep.support)
+        for image in combinations(host.non_isolated, rep.n)
+    ), rep.edges
+
+
+def _counts(tables) -> list[dict]:
+    """{code: labeled count} of each order's table."""
+    return [{code: count for code, (_, count) in table.items()} for table in tables]
+
+
+def _assert_counted_tables(host, counted, want):
+    # the classes and labeled counts of `want`, with counted representatives
+    assert _counts(counted) == _counts(want)
+    for table in counted:
+        for code, (rep, _) in table.items():
+            _assert_counted_representative(host, code, rep)
 
 
 def test_host_memo_keeps_only_the_last_host():
@@ -340,19 +371,33 @@ def _two_fano_planes():
 
 
 def _long_loose_path():
-    # one component on 17 vertices, over VERTEX_BOUND, so the walk gets no generators
+    # one component on 17 vertices, over VERTEX_BOUND, so the routes get no generators
     return MultiHypergraph.build(3, 17, [(2 * i + 1, 2 * i + 2, 2 * i + 3) for i in range(8)])
 
 
-@pytest.mark.parametrize("make,generators", [(_two_fano_planes, True), (_long_loose_path, False)])
+def _k5_and_an_isolated_vertex():
+    # a vertex-transitive component on 1..5; vertex 6 lies in no orbit
+    return MultiHypergraph.build(3, 6, combinations(range(1, 6), 3))
+
+
+@pytest.mark.parametrize(
+    "make,generators",
+    [(_two_fano_planes, True), (_long_loose_path, False), (fano_minus_two, True), (_k5_and_an_isolated_vertex, True)],
+)
 def test_orbit_walk_matches_scan_and_injections(make, generators):
+    # both routes prune by the generators: the walk its vectors, counting the
+    # host vertices of vertex 1 to one per orbit, weighted by the orbit's size
+    # (fano_minus_two: Aut nontrivial, not transitive; two Fano planes: no
+    # generator swaps the components)
     host = make()
     assert bool(veblen_enum._edge_permutations(host, list(host.support))) == generators
     tables = veblen_enum._walk_tables(host, 6)
+    counted = veblen_enum._count_tables(host, 6)  # called directly: no route choice
     for d in range(1, 7):
         assert tables[d - 1] == scan_infragraph_classes(host, d), d
-        reps = [rep for rep, _ in tables[d - 1].values()]
-        assert [n for _, n in tables[d - 1].values()] == labeled_counts_by_injection(host, reps)
+        reps = [rep for rep, _ in counted[d - 1].values()]
+        assert [n for _, n in counted[d - 1].values()] == labeled_counts_by_injection(host, reps)
+    _assert_counted_tables(host, counted, tables)
     assert any(tables[5])
 
 
@@ -367,6 +412,9 @@ def test_walk_rejects_a_generator_that_is_no_host_automorphism(monkeypatch):
     monkeypatch.setattr(veblen_enum, "_connected_code", with_transposition)
     with pytest.raises(ConsistencyFailure, match="maps an edge off the host"):
         veblen_enum._walk_tables(fano_plane(), 6)
+    # counting takes the same generators, to weight its orbits
+    with pytest.raises(ConsistencyFailure, match="maps an edge off the host"):
+        veblen_enum._count_tables(fano_plane(), 6)
 
 
 def test_walk_rejects_images_it_never_reaches(monkeypatch):
@@ -413,7 +461,7 @@ def test_labeled_counts_certified_by_injections(family):
             assert [r.labeled_count for r in records] == want
 
 
-@pytest.mark.parametrize("k,n,top", [(3, 5, 6), (3, 6, 6), (4, 5, 8), (2, 5, 6)])
+@pytest.mark.parametrize("k,n,top", [(3, 5, 6), (3, 6, 6), (4, 5, 8), (2, 5, 6), (3, 7, 6)])
 def test_complete_host_counts_are_falling_factorials_over_aut(k, n, top):
     # on K_n^(k) every injection is an embedding: count = (n)_v / |Aut(G)|
     host = MultiHypergraph.build(k, n, combinations(range(1, n + 1), k))
@@ -434,15 +482,17 @@ def _route_hosts():
 
 
 def test_walk_and_counting_give_identical_tables():
-    # codes, labeled counts and representatives; the last host has two
-    # isolated vertices
+    # codes and labeled counts; the last host has two isolated vertices
     for host, top in _route_hosts():
         walk = veblen_enum._walk_tables(host, top)
-        assert veblen_enum._count_tables(host, top, veblen_enum.WORK_BUDGET) == walk
+        _assert_counted_tables(host, veblen_enum._count_tables(host, top, veblen_enum.WORK_BUDGET), walk)
 
 
 def test_counting_raises_past_its_budget():
+    # K_6^(3) is vertex-transitive, so vertex 1 goes on one host vertex: to
+    # order 6 that is about 3,210 placements, not 19,300 with it on all six
     K6 = MultiHypergraph.build(3, 6, combinations(range(1, 7), 3))
+    assert veblen_enum._count_tables(K6, 6, 4000) == veblen_enum._count_tables(K6, 6)
     with pytest.raises(SizeExceeded, match=r"injection count to order 6 over its budget; estimate .* s"):
         veblen_enum._count_tables(K6, 6, 1000)
 
@@ -524,8 +574,8 @@ def test_route_choice_on_benchmark_hosts(monkeypatch):
 
 @pytest.mark.parametrize("edges", [9, 10, 11, 12])
 def test_counted_graphs_match_walk_and_charpoly(edges, monkeypatch):
-    # the graphs that certify's k=2 jobs now fill by counting: its tables
-    # equal the walk's, representatives included, and the coefficients the
+    # the graphs that certify's k=2 jobs now fill by counting: its classes
+    # and labeled counts equal the walk's, and the coefficients the
     # adjacency characteristic polynomial
     log = _spy_routes(monkeypatch)
     veblen_enum.clear_caches()
@@ -535,7 +585,7 @@ def test_counted_graphs_match_walk_and_charpoly(edges, monkeypatch):
         table = codegree_coefficients(G, 7)
         assert log == [("count", 7, "filled")]
         assert tuple(table.coefficients) == tuple(Fraction(c) for c in charpoly_graph(G))
-        assert veblen_enum._count_tables(G, 7) == veblen_enum._walk_tables(G, 7)
+        _assert_counted_tables(G, veblen_enum._count_tables(G, 7), veblen_enum._walk_tables(G, 7))
 
 
 @st.composite
@@ -557,11 +607,7 @@ def test_routes_agree_under_relabeling(case):
     # {code: labeled count} per order is the same by either route, on the
     # host and on its relabeling
     host, relabeled, d = case
-
-    def counts(tables):
-        return [{code: count for code, (_, count) in table.items()} for table in tables]
-
-    want = counts(veblen_enum._walk_tables(host, d))
-    assert counts(veblen_enum._count_tables(host, d)) == want
-    assert counts(veblen_enum._walk_tables(relabeled, d)) == want
-    assert counts(veblen_enum._count_tables(relabeled, d)) == want
+    want = _counts(veblen_enum._walk_tables(host, d))
+    assert _counts(veblen_enum._count_tables(host, d)) == want
+    assert _counts(veblen_enum._walk_tables(relabeled, d)) == want
+    assert _counts(veblen_enum._count_tables(relabeled, d)) == want
