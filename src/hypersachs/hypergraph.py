@@ -82,10 +82,7 @@ class MultiHypergraph:
 
     @property
     def non_isolated(self) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for e, _ in self.edges:
-            seen.update(e)
-        return tuple(sorted(seen))
+        return tuple(sorted({v for e, _ in self.edges for v in e}))
 
     @property
     def is_simple(self) -> bool:
@@ -94,31 +91,36 @@ class MultiHypergraph:
     def relabeled(self, mapping: dict[int, int], n: int) -> "MultiHypergraph":
         """Apply an injective vertex relabeling; vertices outside `mapping` are dropped
         only if no edge touches them."""
-        edges = []
-        for e, m in self.edges:
-            edges.append((tuple(mapping[v] for v in e), m))
-        return MultiHypergraph.build(self.k, n, edges)
+        return MultiHypergraph.build(self.k, n, [(tuple(mapping[v] for v in e), m) for e, m in self.edges])
 
     def with_multiplicities(self, mults: tuple[int, ...]) -> "MultiHypergraph":
         """Sub-multigraph on the same vertex set given per-edge multiplicities
         aligned with `self.edges` (zero drops the edge)."""
         if len(mults) != len(self.edges):
             raise DomainError(f"{len(mults)} multiplicities for {len(self.edges)} edges")
-        edges = [
-            (e, c) for (e, _), c in zip(self.edges, mults) if c > 0
-        ]
+        edges = [(e, c) for (e, _), c in zip(self.edges, mults) if c > 0]
         return MultiHypergraph(self.k, self.n, tuple(edges))
 
 
-def _compositions(total: int, parts: int):
-    """Every tuple of `parts` nonnegative integers summing to `total`, in lex order."""
-    if parts <= 1:
-        if parts == 1 or total == 0:
-            yield (total,) * parts
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total: int, parts: int, lo=None, hi=None):
+    """Every tuple t of `parts` nonnegative integers summing to `total`, in lex order,
+    with lo[i] <= t[i] <= hi[i] if bounds are given (lo >= 0).  A part takes only values
+    the later parts' bounds can complete, so the work is proportional to the output."""
+    lo, hi = lo or [0] * parts, hi or [total] * parts
+    least, most = [0] * (parts + 1), [0] * (parts + 1)  # what parts i.. can sum to
+    for i in reversed(range(parts)):
+        least[i], most[i] = least[i + 1] + lo[i], most[i + 1] + hi[i]
+
+    def rec(i: int, left: int):
+        if i == parts - 1:
+            yield (left,)
+            return
+        for first in range(max(lo[i], left - most[i + 1]), min(hi[i], left - least[i + 1]) + 1):
+            for rest in rec(i + 1, left - first):
+                yield (first,) + rest
+
+    if least[0] <= total <= most[0]:
+        yield from rec(0, total) if parts else [()]
 
 
 def require_simple(H: MultiHypergraph) -> None:

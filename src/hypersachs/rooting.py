@@ -11,7 +11,8 @@ vertex of e roots.  One such per-edge root-count assignment stands for
 distinct rootings (sequences of rooted stars sorted by root), all yielding the
 same digraph.  `assoc_coeff_connected` sums the weight per assignment, reading
 the arborescence count off the out-degree Laplacian of the star union; only
-`euler_orientations` merges assignments into distinct digraphs.
+`euler_orientations` merges assignments into distinct digraphs.  Class weights
+are memoized by canonical code in `_coeff_memo`, through `_class_weight` alone.
 
 Aut(H) permutes the assignments and keeps their multiplicities and
 arborescence counts, so for the weight the walk descends, at each edge, into
@@ -70,8 +71,9 @@ def _combo_orbits(m: int, edges, chosen, feasible) -> tuple[list, bool]:
 
 
 def _root_count_assignments(H: MultiHypergraph, symmetric: bool = False):
-    """Yield every per-edge root-count assignment meeting every vertex quota
-    with orbit size 1, or with `symmetric` one per orbit under Aut(H) with its size."""
+    """Yield every per-edge root-count assignment meeting every vertex quota with orbit
+    size 1, or with `symmetric` one per orbit under Aut(H) with its size.  Edge i's counts
+    come in lex order from `_compositions`, bounded by max(0, need_v - left[i][v]) <= c_v <= need_v."""
     verts = H.non_isolated
     index = {v: i for i, v in enumerate(verts)}
     deg = H.degrees()
@@ -83,17 +85,15 @@ def _root_count_assignments(H: MultiHypergraph, symmetric: bool = False):
     for e, m in reversed(edges[1:]):
         left.append([x + m if v in e else x for v, x in enumerate(left[-1])])
     left.reverse()
-    comps = [list(_compositions(m, len(e))) for e, m in edges]
     chosen: list[tuple[int, ...]] = []
 
     def rec(i: int, size: int, symmetric: bool):
         if i == len(edges):
             yield tuple(chosen), size
             return
-        e, cap = edges[i][0], left[i]
-        # only the vertices of e change their need or capacity
-        orbits = [(combo, 1) for combo in comps[i]
-                  if all(need[v] - cap[v] <= c <= need[v] for v, c in zip(e, combo))]
+        (e, m), cap = edges[i], left[i]
+        orbits = [(combo, 1) for combo in
+                  _compositions(m, len(e), [max(0, need[v] - cap[v]) for v in e], [need[v] for v in e])]
         if symmetric and len(orbits) > 1:
             # the groups below are subgroups, so trivial below a trivial one
             orbits, symmetric = _combo_orbits(len(verts), edges, chosen, [c for c, _ in orbits])
@@ -176,6 +176,13 @@ def assoc_coeff_connected(H: MultiHypergraph) -> Fraction:
 _coeff_memo: dict[CanonicalCode, Fraction] = {}
 
 
+def _class_weight(code: CanonicalCode, H: MultiHypergraph) -> Fraction:
+    """`assoc_coeff_connected(H)` for H in the connected class `code`, once per code."""
+    if code not in _coeff_memo:
+        _coeff_memo[code] = assoc_coeff_connected(H)
+    return _coeff_memo[code]
+
+
 def assoc_coeff(H: MultiHypergraph) -> Fraction:
     """Associated coefficient of a Veblen hypergraph: the product over its
     connected components, memoized by canonical code."""
@@ -183,12 +190,7 @@ def assoc_coeff(H: MultiHypergraph) -> Fraction:
         raise NotVeblen("associated coefficients are defined for Veblen hypergraphs")
     result = Fraction(1)
     for comp in components(H):
-        code = canonical_form(comp)
-        value = _coeff_memo.get(code)
-        if value is None:
-            value = assoc_coeff_connected(comp)
-            _coeff_memo[code] = value
-        result *= value
+        result *= _class_weight(canonical_form(comp), comp)
     return result
 
 

@@ -45,7 +45,7 @@ from operator import itemgetter
 from .canon import VERTEX_BOUND, CanonicalCode, _connected_code, _refine, canonical_form
 from .errors import ConsistencyFailure, NormalizationFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, component_supports, components, is_connected, require_simple
-from .rooting import _coeff_memo, assoc_coeff_connected
+from .rooting import _class_weight
 
 MAX_FREE_EDGES = 9
 
@@ -93,11 +93,7 @@ def _sorted_records(by_code: dict, with_coeffs: bool, free: bool = False) -> tup
     for code in sorted(by_code, key=lambda c: c.blob):
         rep, value = by_code[code]
         count, aut = (None, value) if free else (value, None)
-        coeff = None
-        if with_coeffs:  # each class weight is computed once, into rooting's memo by code
-            if code not in _coeff_memo:
-                _coeff_memo[code] = assoc_coeff_connected(rep)
-            coeff = _coeff_memo[code]
+        coeff = _class_weight(code, rep) if with_coeffs else None
         out.append(IsoClassRecord(code, rep, rep.edge_count, coeff, count, aut))
     return tuple(out)
 
@@ -251,20 +247,21 @@ def _host_tables(host: MultiHypergraph, d: int) -> list[dict]:
         return tables
     walk, atlas = _route_costs(host.k, len(host.edges), d)
     budget, tables = (walk - atlas) / INJECTION_S, None
+    gens = list(_vertex_generators(host))  # one search for either route
     if budget >= 1:  # counting first, within the walk's estimate
         try:
-            tables = _count_tables(host, d, min(int(budget), WORK_BUDGET))
+            tables = _count_tables(host, d, gens, min(int(budget), WORK_BUDGET))
         except SizeExceeded:
             if budget >= WORK_BUDGET:  # the walk would cost more still
                 raise
     if tables is None:
-        tables = _walk_tables(host, d)
+        tables = _walk_tables(host, d, gens)
     _infra_memo.clear()
     _infra_memo[host] = tables
     return tables
 
 
-def _walk_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> list[dict]:
+def _walk_tables(host: MultiHypergraph, d: int, gens: list, budget: int = WORK_BUDGET) -> list[dict]:
     """Class tables of orders 1..d by one depth-first walk.  It visits the
     edges in `host.edges` order, each multiplicity ascending, so the vectors
     of one order come in lexicographic order and a class keeps its first.
@@ -273,13 +270,13 @@ def _walk_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> li
     the forced residue, and closing vertices that force different residues
     cut the branch.  A branch is also cut when the degree deficits sum_v
     ((-deg v) mod k) exceed k times the edges still to add.  Every leaf is
-    thus a Veblen vector.  Aut(host) keeps order, class and the Veblen
+    thus a Veblen vector.  Aut(host) (`gens`) keeps order, class and the Veblen
     property, so only the first leaf of an orbit is built and canonicalized;
     its other images wait in `pending` with its code, and one never reached
     raises ConsistencyFailure.  Over `budget` walk nodes raise SizeExceeded."""
     k = host.k
     edges = [e for e, _ in host.edges]
-    perms = _edge_permutations(host, edges)
+    perms = _edge_permutations(edges, gens)
     last = {v: i for i, e in enumerate(edges) for v in e}
     closing = [[v for v in e if last[v] == i] for i, e in enumerate(edges)]
     deg = dict.fromkeys(last, 0)
@@ -353,10 +350,10 @@ def _vertex_generators(host: MultiHypergraph) -> Iterator[list[int]]:
             yield at
 
 
-def _edge_permutations(host: MultiHypergraph, edges: list) -> list[tuple[int, ...]]:
-    """The generators of `_vertex_generators` as permutations of positions in `edges`."""
+def _edge_permutations(edges: list, gens: list) -> list[tuple[int, ...]]:
+    """The vertex maps `gens` of `_vertex_generators` as permutations of positions in `edges`."""
     position = {e: i for i, e in enumerate(edges)}
-    return [tuple(position[tuple(sorted(map(at.__getitem__, e)))] for e in edges) for at in _vertex_generators(host)]
+    return [tuple(position[tuple(sorted(map(at.__getitem__, e)))] for e in edges) for at in gens]
 
 
 def _route_costs(k: int, edges: int, d: int) -> tuple[float, float]:
@@ -369,8 +366,8 @@ def _route_costs(k: int, edges: int, d: int) -> tuple[float, float]:
     return walk, 0 if (k, d) in _free_memo else ATLAS_S * ATLAS_GROWTH ** ((k - 1) * (d - k))
 
 
-def _count_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> list[dict]:
-    """Class tables of orders 1..d by counting injections (module docstring).
+def _count_tables(host: MultiHypergraph, d: int, gens: list, budget: int = WORK_BUDGET) -> list[dict]:
+    """Class tables of orders 1..d by counting injections given `gens` (module docstring).
     Vertex p > 1 of a free representative is placed among the host neighbours
     of a smaller vertex's image (a representative without one raises
     ConsistencyFailure), and an edge is checked at its largest vertex.
@@ -380,7 +377,6 @@ def _count_tables(host: MultiHypergraph, d: int, budget: int = WORK_BUDGET) -> l
     for e in host.support:
         for v in e:
             nbrs.setdefault(v, set()).update(e)
-    gens = list(_vertex_generators(host))
     roots = Counter(min(_orbit((x,), gens))[0] for x in nbrs)  # least vertex of an orbit: its size
     img, bits, used, placed = [0] * (d + 1), [0] * (d + 1), set(), itertools.count(1)
 

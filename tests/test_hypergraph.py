@@ -206,3 +206,29 @@ def test_compositions_in_lex_order():
     assert list(_compositions(2, 3)) == [
         (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)
     ]
+
+
+@st.composite
+def bounded_compositions(draw):
+    """A total, a number of parts and per-part bounds lo, hi (lo may exceed hi)."""
+    total, parts = draw(st.integers(0, 9)), draw(st.integers(0, 5))
+    lo = draw(st.lists(st.integers(0, 4), min_size=parts, max_size=parts))
+    hi = draw(st.lists(st.integers(0, 9), min_size=parts, max_size=parts))
+    return total, parts, lo, hi
+
+
+@given(bounded_compositions())
+def test_bounded_compositions_are_the_unbounded_ones_within_bounds(case):
+    total, parts, lo, hi = case
+    got = list(_compositions(total, parts, lo, hi))
+    want = [t for t in _compositions(total, parts) if all(a <= c <= b for a, c, b in zip(lo, t, hi))]
+    assert got == want  # the same tuples, in the same (lex) order
+    # empty exactly when the bounds cannot be met
+    assert bool(got) == (all(a <= b for a, b in zip(lo, hi)) and sum(lo) <= total <= sum(hi))
+
+
+def test_bounded_compositions_cost_follows_the_output():
+    # every composition of 10^6 into 3 parts would be about 5 * 10^11 tuples
+    big = 10**6
+    got = list(_compositions(big, 3, [0, 0, big - 1], [1, 1, big]))
+    assert got == [(0, 0, big), (0, 1, big - 1), (1, 0, big - 1)]

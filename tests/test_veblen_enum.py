@@ -47,6 +47,20 @@ CONNECTED_COUNTS = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 11, 7: 26, 8: 122}
 ALL_COUNTS = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 12, 7: 27, 8: 125}
 
 
+def _generators(host) -> list:
+    return list(veblen_enum._vertex_generators(host))
+
+
+def _walked(host, d, *budget) -> list:
+    """The walk's tables, called directly with the host's generators: no route choice."""
+    return veblen_enum._walk_tables(host, d, _generators(host), *budget)
+
+
+def _counted(host, d, *budget) -> list:
+    """The counting route's tables, called directly like `_walked`."""
+    return veblen_enum._count_tables(host, d, _generators(host), *budget)
+
+
 @pytest.mark.parametrize("d", sorted(CONNECTED_COUNTS))
 def test_class_counts(d):
     assert len(enumerate_connected_veblen(3, d)) == CONNECTED_COUNTS[d]
@@ -112,7 +126,7 @@ def test_free_enumeration_matches_complete_host(d):
     # 3-uniform host on six vertices; the walk and free enumeration are
     # independent code paths
     K6 = MultiHypergraph.build(3, 6, combinations(range(1, 7), 3))
-    host_codes = set(veblen_enum._walk_tables(K6, d)[d - 1])
+    host_codes = set(_walked(K6, d)[d - 1])
     free_codes = {r.code for r in enumerate_connected_veblen(3, d)}
     assert host_codes == free_codes
 
@@ -155,7 +169,7 @@ def test_counting_rejects_a_representative_without_smaller_neighbour(monkeypatch
     monkeypatch.setattr(veblen_enum, "enumerate_connected_veblen", lambda k, j: (record,) if j == 2 else ())
     K5 = MultiHypergraph.build(3, 5, combinations(range(1, 6), 3))
     with pytest.raises(ConsistencyFailure, match="no smaller neighbour"):
-        veblen_enum._count_tables(K5, 3, veblen_enum.WORK_BUDGET)
+        _counted(K5, 3, veblen_enum.WORK_BUDGET)
 
 
 def test_one_free_tree_per_request(monkeypatch, tmp_path):
@@ -390,9 +404,9 @@ def test_orbit_walk_matches_scan_and_injections(make, generators):
     # (fano_minus_two: Aut nontrivial, not transitive; two Fano planes: no
     # generator swaps the components)
     host = make()
-    assert bool(veblen_enum._edge_permutations(host, list(host.support))) == generators
-    tables = veblen_enum._walk_tables(host, 6)
-    counted = veblen_enum._count_tables(host, 6)  # called directly: no route choice
+    assert bool(veblen_enum._edge_permutations(list(host.support), _generators(host))) == generators
+    tables = _walked(host, 6)
+    counted = _counted(host, 6)
     for d in range(1, 7):
         assert tables[d - 1] == scan_infragraph_classes(host, d), d
         reps = [rep for rep, _ in counted[d - 1].values()]
@@ -409,29 +423,40 @@ def test_walk_rejects_a_generator_that_is_no_host_automorphism(monkeypatch):
         code, aut, gens, label = real(k, verts, edges)
         return code, aut, gens + [(1, 0) + tuple(range(2, len(verts)))], label
 
+    # cold, the walk fills the Fano plane to 6
+    log = _spy_routes(monkeypatch)
+    veblen_enum.clear_caches()
+    assert _fill(fano_plane(), 6, log) == [("walk", 6, "filled")]
     monkeypatch.setattr(veblen_enum, "_connected_code", with_transposition)
     with pytest.raises(ConsistencyFailure, match="maps an edge off the host"):
-        veblen_enum._walk_tables(fano_plane(), 6)
-    # counting takes the same generators, to weight its orbits
+        _fill(fano_plane(), 6, log)
+    assert log == []  # the one search per fill raises before the route runs
+    # with the free tree stored, counting runs first: it takes the same
+    # generators, to weight its orbits
+    monkeypatch.setattr(veblen_enum, "_connected_code", real)
+    enumerate_connected_veblen(3, 6)
+    assert _fill(fano_plane(), 6, log)[0] == ("count", 6, "over budget")
+    monkeypatch.setattr(veblen_enum, "_connected_code", with_transposition)
     with pytest.raises(ConsistencyFailure, match="maps an edge off the host"):
-        veblen_enum._count_tables(fano_plane(), 6)
+        _fill(fano_plane(), 6, log)
+    assert log == []
 
 
 def test_walk_rejects_images_it_never_reaches(monkeypatch):
     # swapping the simplex edge (2,3,4) with the pendant edge (4,5,6) is no
     # automorphism: it sends the simplex to a vector that is not Veblen
     host = MultiHypergraph.build(3, 6, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (4, 5, 6)])
-    monkeypatch.setattr(veblen_enum, "_edge_permutations", lambda host, edges: [(0, 1, 2, 4, 3)])
+    monkeypatch.setattr(veblen_enum, "_edge_permutations", lambda edges, gens: [(0, 1, 2, 4, 3)])
     with pytest.raises(ConsistencyFailure, match="never reached 1 image"):
-        veblen_enum._walk_tables(host, 4)
+        _walked(host, 4)
 
 
 def test_class_weights_computed_once(monkeypatch):
     # a table read again with weights, by a second caller, reuses them
     calls = []
-    real = veblen_enum.assoc_coeff_connected
+    real = rooting.assoc_coeff_connected
     monkeypatch.setattr(
-        veblen_enum, "assoc_coeff_connected", lambda H: calls.append(1) or real(H)
+        rooting, "assoc_coeff_connected", lambda H: calls.append(1) or real(H)
     )
     veblen_enum.clear_caches()
     rooting.clear_caches()
@@ -484,23 +509,23 @@ def _route_hosts():
 def test_walk_and_counting_give_identical_tables():
     # codes and labeled counts; the last host has two isolated vertices
     for host, top in _route_hosts():
-        walk = veblen_enum._walk_tables(host, top)
-        _assert_counted_tables(host, veblen_enum._count_tables(host, top, veblen_enum.WORK_BUDGET), walk)
+        walk = _walked(host, top)
+        _assert_counted_tables(host, _counted(host, top, veblen_enum.WORK_BUDGET), walk)
 
 
 def test_counting_raises_past_its_budget():
     # K_6^(3) is vertex-transitive, so vertex 1 goes on one host vertex: to
     # order 6 that is about 3,210 placements, not 19,300 with it on all six
     K6 = MultiHypergraph.build(3, 6, combinations(range(1, 7), 3))
-    assert veblen_enum._count_tables(K6, 6, 4000) == veblen_enum._count_tables(K6, 6)
+    assert _counted(K6, 6, 4000) == _counted(K6, 6)
     with pytest.raises(SizeExceeded, match=r"injection count to order 6 over its budget; estimate .* s"):
-        veblen_enum._count_tables(K6, 6, 1000)
+        _counted(K6, 6, 1000)
 
 
 def test_walk_raises_past_its_budget():
     with pytest.raises(SizeExceeded, match=r"host walk to order 9 over its budget; estimate .* s"):
-        veblen_enum._walk_tables(fano_plane(), 9, 100)
-    assert veblen_enum._walk_tables(fano_plane(), 9) == veblen_enum._walk_tables(fano_plane(), 9, 10**4)
+        _walked(fano_plane(), 9, 100)
+    assert _walked(fano_plane(), 9) == _walked(fano_plane(), 9, 10**4)
 
 
 def _spy_routes(monkeypatch) -> list:
@@ -510,9 +535,9 @@ def _spy_routes(monkeypatch) -> list:
     for route in ("count", "walk"):
         real = getattr(veblen_enum, f"_{route}_tables")
 
-        def spy(host, d, *budget, real=real, route=route):
+        def spy(host, d, gens, *budget, real=real, route=route):
             try:
-                tables = real(host, d, *budget)
+                tables = real(host, d, gens, *budget)
             except SizeExceeded:
                 log.append((route, d, "over budget"))
                 raise
@@ -572,6 +597,18 @@ def test_route_choice_on_benchmark_hosts(monkeypatch):
     assert log == [("count", 9, "over budget")]
 
 
+def test_one_generator_search_per_table_fill(monkeypatch):
+    # with the free tree stored, counting overruns its budget on the Fano
+    # plane to 7 and the walk fills the tables, from the same generators
+    log, searched = _spy_routes(monkeypatch), []
+    real = veblen_enum._vertex_generators
+    monkeypatch.setattr(veblen_enum, "_vertex_generators", lambda host: searched.append(host) or real(host))
+    veblen_enum.clear_caches()
+    enumerate_connected_veblen(3, 7)
+    assert _fill(fano_plane(), 7, log) == [("count", 7, "over budget"), ("walk", 7, "filled")]
+    assert searched == [fano_plane()]
+
+
 @pytest.mark.parametrize("edges", [9, 10, 11, 12])
 def test_counted_graphs_match_walk_and_charpoly(edges, monkeypatch):
     # the graphs that certify's k=2 jobs now fill by counting: its classes
@@ -585,7 +622,7 @@ def test_counted_graphs_match_walk_and_charpoly(edges, monkeypatch):
         table = codegree_coefficients(G, 7)
         assert log == [("count", 7, "filled")]
         assert tuple(table.coefficients) == tuple(Fraction(c) for c in charpoly_graph(G))
-        _assert_counted_tables(G, veblen_enum._count_tables(G, 7), veblen_enum._walk_tables(G, 7))
+        _assert_counted_tables(G, _counted(G, 7), _walked(G, 7))
 
 
 @st.composite
@@ -607,7 +644,7 @@ def test_routes_agree_under_relabeling(case):
     # {code: labeled count} per order is the same by either route, on the
     # host and on its relabeling
     host, relabeled, d = case
-    want = _counts(veblen_enum._walk_tables(host, d))
-    assert _counts(veblen_enum._count_tables(host, d)) == want
-    assert _counts(veblen_enum._walk_tables(relabeled, d)) == want
-    assert _counts(veblen_enum._count_tables(relabeled, d)) == want
+    want = _counts(_walked(host, d))
+    assert _counts(_counted(host, d)) == want
+    assert _counts(_walked(relabeled, d)) == want
+    assert _counts(_counted(relabeled, d)) == want

@@ -31,6 +31,7 @@ from hypersachs.classical import charpoly_graph
 from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.rooting import assoc_coeff_connected
 from hypersachs.traces import _WalkExpansion, trace_bruteforce
+from hypersachs.veblen_enum import connected_infragraph_classes
 
 F = Fraction
 
@@ -84,6 +85,23 @@ def test_certifies_every_catalogued_class_weight():
     for name, G in sorted(classes.items()):
         assert walk_weight(G) == assoc_coeff_connected(G), name
     assert walk_weight(REFERENCE_VEBLEN["v9_4"]) == F(27, 64)
+
+
+def test_certifies_fano_class_weights_at_depth():
+    # the Fano plane's classes of orders 12..21 lie past trace_bruteforce's
+    # reach on the plane, but those on few support edges stay cheap on their
+    # own support: at most 3 lines to order 15, at most 2 beyond.  The root-
+    # count walk under `assoc_coeff_connected` is checked here against an
+    # expansion that shares only the unbounded `_compositions` with it (not
+    # `orientation_weight`, which enumerates the same root counts)
+    checked = 0
+    for d, most in [(21, 2), (18, 2), (15, 3), (12, 3)]:
+        for record in connected_infragraph_classes(fano_plane(), d):
+            G = record.representative
+            if len(G.edges) <= most:
+                assert assoc_coeff_connected(G) == walk_weight(G), (d, G.edges)
+                checked += 1
+    assert checked == 20
 
 
 def test_trail_memo_bytes_per_state():
