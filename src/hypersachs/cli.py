@@ -148,6 +148,8 @@ def _atlas_lines(k: int, d: int, with_coeffs: bool) -> list[str]:
 
 
 def _cmd_coeffs(args) -> int:
+    if args.max_codegree < 0:
+        raise UsageError("--max-codegree must be >= 0")
     host, doc_name = _load_host(args)
     name = args.name if args.name is not None else doc_name
     table = codegree_coefficients(
@@ -158,6 +160,8 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_traces(args) -> int:
+    if args.max_order < 0:
+        raise UsageError("--max-order must be >= 0")
     host, _ = _load_host(args)
     rows = []
     for d, value in enumerate(trace_vector(host, args.max_order).values, start=1):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .digraph import MultiDigraph
-from .errors import ConsistencyFailure, DomainError, NormalizationFailure
+from .errors import ConsistencyFailure, DomainError, NormalizationFailure, SizeExceeded
 
 MAX_K = 1000
 CONTRIBUTION_CAP = 2000
@@ -69,9 +69,12 @@ class SimplexCoefficientReport:
 
 
 def partitions_min2(m: int) -> tuple[PartitionMin2, ...]:
-    """All partitions of m with parts >= 2, in descending lexicographic order."""
+    """All partitions of m with parts >= 2, in descending lexicographic order;
+    SizeExceeded before listing any if they number more than CONTRIBUTION_CAP."""
     if m < 0:
         raise DomainError("m must be >= 0")
+    if _min2_partition_count(m) > CONTRIBUTION_CAP:
+        raise SizeExceeded(f"{m} has more than {CONTRIBUTION_CAP} partitions with parts >= 2")
 
     def gen(rest: int, cap: int):
         if rest == 0:

@@ -1,13 +1,14 @@
 """Spectral power sums and characteristic-polynomial coefficients of uniform
 hypergraphs, all in exact rational arithmetic.
 
-`codegree_coefficients` has one assembly route.  Every connected class
-realized in the host contributes the additive term -(k-1)^n * weight *
-labeled count at its edge count; summing those terms per edge count gives
--Tr_d/d.  One pass of Newton's identities per table (`_newton`, which
-`schur_P` reads too) turns them into c_0..c_D in O(D^2) rational steps.
-`trace_d` evaluates Tr_d from the same class data, so it is no certificate
-of the class weights.
+`codegree_coefficients` has one assembly route, and one function,
+`_order_terms`, states its class terms: every connected class realized in
+the host with d edges contributes -(k-1)^n * weight * labeled count, and
+the terms of order d sum to -Tr_d/d.  `trace_d` returns -d times that sum,
+so it is no certificate of the class weights.  One pass of Newton's
+identities per table (`_newton`, which `schur_P` reads too) turns the
+per-order sums into c_0..c_D in O(D^2) rational steps, and one walk over
+the multisets of the same terms (`_breakdowns`) splits every c_d by class.
 
 `trace_bruteforce` certifies the power sums without any class data.  It
 evaluates the trace formula of the adjacency tensor (Morozov & Shakirov
@@ -63,16 +64,11 @@ class CoefficientTable:
 
 
 def trace_d(host: MultiHypergraph, d: int) -> Fraction:
-    """Power sum of order d: d*(k-1)^n times the sum over connected classes
-    realized in the host of (associated coefficient) * (labeled count)."""
+    """Power sum of order d: -d times the sum of `_order_terms(host, d)`."""
     require_simple(host)
     if d < 1:
         raise ValueError("trace order must be >= 1")
-    scale = d * Fraction(host.k - 1) ** host.n
-    total = Fraction(0)
-    for rec in connected_infragraph_classes(host, d, with_coeffs=True):
-        total += rec.assoc_coeff * rec.labeled_count
-    return scale * total
+    return -d * sum((x for _, _, x in _order_terms(host, d)), Fraction(0))
 
 
 def trace_vector(host: MultiHypergraph, max_order: int) -> TraceVector:
@@ -204,48 +200,42 @@ def schur_P(d: int, ts) -> Fraction:
     return _newton(tvals[:d])[d]
 
 
-def _class_terms(host: MultiHypergraph, max_d: int):
-    """(edge count, code, term value) for each connected class
-    realized in the host with at most max_d edges, in increasing edge count;
-    the term is the class's additive weight -(k-1)^n * coeff * count."""
+def _order_terms(host: MultiHypergraph, d: int):
+    """(d, code, term) for each connected class with d edges realized in the
+    host; the term is the class's -(k-1)^n * coeff * labeled count."""
     sign_scale = -(Fraction(host.k - 1) ** host.n)
+    return [(d, rec.code, sign_scale * rec.assoc_coeff * rec.labeled_count)
+            for rec in connected_infragraph_classes(host, d, with_coeffs=True)]
+
+
+def _class_terms(host: MultiHypergraph, max_d: int):
+    """`_order_terms` of orders 1..max_d, in increasing edge count."""
     # the largest order first: its walk fills the tables of the smaller ones
-    per_order = [connected_infragraph_classes(host, dd, with_coeffs=True) for dd in range(max_d, 0, -1)]
-    return [
-        (rec.edge_count, rec.code, sign_scale * rec.assoc_coeff * rec.labeled_count)
-        for records in reversed(per_order)
-        for rec in records
-    ]
+    per_order = [_order_terms(host, dd) for dd in range(max_d, 0, -1)]
+    return [term for terms in reversed(per_order) for term in terms]
 
 
-def _breakdown_for(terms, d: int) -> tuple[tuple[CanonicalCode, Fraction], ...]:
-    """Per-class contributions to c_d: one entry per Veblen class with d edges
-    realized in the host (components may repeat), summing to c_d.  `terms`
-    are `_class_terms` of the host, in increasing edge count; each entry's
-    code is the union code of the component codes they hold."""
-    entries: list[tuple[CanonicalCode, Fraction]] = []
+def _breakdowns(terms, max_d: int) -> dict[int, tuple[tuple[CanonicalCode, Fraction], ...]]:
+    """Per-class contributions to c_1..c_max_d, from one walk over the
+    multisets of `terms` (`_class_terms`) with at most max_d edges in all:
+    each is one Veblen class realized in the host, filed under its edge count
+    with its components' union code and weight prod x^mu / mu!."""
+    entries: dict[int, list] = {d: [] for d in range(1, max_d + 1)}
 
-    def rec(idx: int, left: int, chosen: list[tuple[int, int]], weight: Fraction):
-        if left == 0:
-            codes = [terms[t_idx][1] for t_idx, mu in chosen for _ in range(mu)]
-            entries.append((_union_code(codes), weight))
+    def rec(idx: int, used: int, codes: list[CanonicalCode], weight: Fraction):
+        if idx == len(terms) or used + terms[idx][0] > max_d:
+            if used:
+                entries[used].append((_union_code(codes), weight))
             return
-        if idx == len(terms) or terms[idx][0] > left:
-            return
-        dd, _code, x = terms[idx]
-        rec(idx + 1, left, chosen, weight)
-        mu = 1
-        power = x
-        while dd * mu <= left:
-            chosen.append((idx, mu))
-            rec(idx + 1, left - dd * mu, chosen, weight * power / factorial(mu))
-            chosen.pop()
-            mu += 1
-            power *= x
+        dd, code, x = terms[idx]
+        rec(idx + 1, used, codes, weight)
+        mu, power = 1, x
+        while used + dd * mu <= max_d:
+            rec(idx + 1, used + dd * mu, codes + [code] * mu, weight * power / factorial(mu))
+            mu, power = mu + 1, power * x
 
-    rec(0, d, [], Fraction(1))
-    entries.sort(key=lambda pair: pair[0].blob)
-    return tuple(entries)
+    rec(0, 0, [], Fraction(1))
+    return {d: tuple(sorted(found, key=lambda pair: pair[0].blob)) for d, found in entries.items()}
 
 
 def codegree_coefficients(
@@ -258,9 +248,9 @@ def codegree_coefficients(
     polynomial (c_d multiplies x^(t-d) with t the polynomial degree).
 
     The class terms are computed once; their per-edge-count sums feed one
-    pass of Newton's recurrence, and the optional breakdown splits each c_d
-    over the same terms.  A breakdown that does not sum to its coefficient
-    raises ConsistencyFailure.
+    pass of Newton's recurrence, and the optional breakdown splits every c_d
+    over the same terms in one walk.  A breakdown that does not sum to its
+    coefficient raises ConsistencyFailure.
     """
     require_simple(host)
     if max_codegree < 0:
@@ -272,9 +262,7 @@ def codegree_coefficients(
     coefficients = tuple(_newton(ts))
     breakdown = None
     if with_breakdown:
-        breakdown = {
-            dv: _breakdown_for(terms, dv) for dv in range(1, max_codegree + 1)
-        }
+        breakdown = _breakdowns(terms, max_codegree)
         for dv, entries in breakdown.items():
             total = sum((val for _, val in entries), Fraction(0))
             if total != coefficients[dv]:

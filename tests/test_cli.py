@@ -178,6 +178,9 @@ def test_atlas_export_to_file(tmp_path, capsys):
         ["coeffs", "--max-codegree", "3"],
         ["atlas-export", "--k", "3", "--d", "5", "--jobs", "2"],
         ["classical-check", "--jobs", "2"],
+        # negative orders are refused before the input is read
+        ["coeffs", "--input", "-", "--max-codegree", "-1"],
+        ["traces", "--input", "-", "--max-order", "-2"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -3,13 +3,15 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from helpers import derangement_cycle_sum_recurrence, predicted_spectrum_MJ, simplex_tau_formula
+from hypersachs import simplex
 from hypersachs.catalog import complete_kgraph
 from hypersachs.digraph import arborescence_count, is_eulerian
-from hypersachs.errors import DomainError
+from hypersachs.errors import DomainError, SizeExceeded
 from hypersachs.linalg import charpoly_int
 from hypersachs.rooting import assoc_coeff_connected
 from hypersachs.simplex import (
@@ -96,18 +98,37 @@ def test_contributions_listed_iff_under_cap():
     assert simplex_Ck(33).contributions is None
 
 
+@cache
+def _min2_count(rest: int, cap: int) -> int:
+    """Partitions of rest into parts in 2..cap, counted along the listing's
+    own recursion rather than by the module's DP."""
+    if rest == 0:
+        return 1
+    return sum(_min2_count(rest - p, p) for p in range(min(rest, cap), 1, -1) if rest - p != 1)
+
+
 def test_bounded_cycle_type_count_matches_the_listing():
     # exact up to the cap, and cap + 1 from the first m past it on, which
     # is where simplex_Ck stops listing: k = 33 is m = 34
-    m = 0
-    while True:
+    for m in range(34):
         listed = len(partitions_min2(m))
-        assert _min2_partition_count(m) == min(listed, CONTRIBUTION_CAP + 1), m
-        if listed > CONTRIBUTION_CAP:
-            break
-        m += 1
-    assert m == 34
-    assert all(_min2_partition_count(m) == CONTRIBUTION_CAP + 1 for m in (35, 100, MAX_K + 1))
+        assert listed == _min2_count(m, m) <= CONTRIBUTION_CAP, m
+        assert _min2_partition_count(m) == listed, m
+    assert _min2_count(34, 34) == 2167 > CONTRIBUTION_CAP  # p(34) - p(33) = 12310 - 10143
+    with pytest.raises(SizeExceeded):
+        partitions_min2(34)
+    assert all(_min2_partition_count(m) == CONTRIBUTION_CAP + 1 for m in (34, 35, 100, MAX_K + 1))
+
+
+def test_partition_listing_refuses_before_it_starts(monkeypatch):
+    # partitions_min2(401) once ran for minutes and reached 2.4 GB; a listing
+    # that had begun would build a PartitionMin2 first
+    def listed(parts):
+        raise AssertionError(f"listing began with {parts}")
+
+    monkeypatch.setattr(simplex, "PartitionMin2", listed)
+    with pytest.raises(SizeExceeded, match=str(CONTRIBUTION_CAP)):
+        partitions_min2(401)
 
 
 def test_tau_anchors():

@@ -23,7 +23,8 @@ from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.linalg import charpoly_int
 from hypersachs.traces import (
     _WalkExpansion,
-    _breakdown_for,
+    _breakdowns,
+    _class_terms,
     codegree_coefficients,
     schur_P,
     trace_bruteforce,
@@ -230,12 +231,37 @@ def test_single_edge_breakdown_past_the_vertex_bound():
 
 def test_breakdown_mismatch_raises_consistency_failure(monkeypatch):
     # a package error, not an assert, so the check survives python -O
-    def with_stray_entry(terms, d):
-        return _breakdown_for(terms, d) + ((canonical_form(EDGE), F(1)),)
+    def with_stray_entry(terms, max_d):
+        found = _breakdowns(terms, max_d)
+        return {**found, 4: found[4] + ((canonical_form(EDGE), F(1)),)}
 
-    monkeypatch.setattr("hypersachs.traces._breakdown_for", with_stray_entry)
+    monkeypatch.setattr("hypersachs.traces._breakdowns", with_stray_entry)
     with pytest.raises(ConsistencyFailure):
         codegree_coefficients(complete_kgraph(3), 4, with_breakdown=True)
+
+
+@pytest.mark.parametrize(
+    "host,max_d,pinned",
+    [
+        (complete_kgraph(3), 12, [0, 0, 1, 1, 0, 3, 2, 2, 6, 6, 4, 16]),
+        (fano_plane(), 9, None),
+    ],
+)
+def test_breakdown_lists_every_multiset_of_class_terms_once(host, max_d, pinned):
+    # one entry per multiset of class terms with d edges in all: their number
+    # is the x^d coefficient of prod over terms of 1/(1 - x^edges), so a
+    # dropped or doubled multiset shows even where the sums still agree
+    multisets = [1] + [0] * max_d
+    for edges, _code, _x in _class_terms(host, max_d):
+        for total in range(edges, max_d + 1):
+            multisets[total] += multisets[total - edges]
+    table = codegree_coefficients(host, max_d, with_breakdown=True)
+    assert sorted(table.breakdown) == list(range(1, max_d + 1))
+    assert [len(table.breakdown[d]) for d in range(1, max_d + 1)] == multisets[1:]
+    assert pinned is None or multisets[1:] == pinned
+    for entries in table.breakdown.values():
+        codes = [code for code, _ in entries]
+        assert len(set(codes)) == len(codes)
 
 
 def test_graph_host_matches_adjacency_charpoly():
