@@ -24,7 +24,6 @@ from .rooting import (
 )
 from .veblen_enum import (
     IsoClassRecord,
-    OccurrenceCount,
     connected_infragraph_classes,
     count_all_veblen,
     count_infragraph,
@@ -32,7 +31,6 @@ from .veblen_enum import (
 )
 from .traces import (
     CoefficientTable,
-    TraceVector,
     codegree_coefficients,
     trace_bruteforce,
     trace_d,
@@ -49,11 +47,8 @@ from .classical import (
     threshold_single_edge,
 )
 from .formats import (
-    HypergraphDocument,
     emit_table,
     parse_document,
-    parse_hypergraph,
-    serialize_document,
     serialize_hypergraph,
 )
 
@@ -78,12 +73,10 @@ __all__ = [
     "assoc_coeff",
     "assoc_coeff_connected",
     "IsoClassRecord",
-    "OccurrenceCount",
     "enumerate_connected_veblen",
     "count_all_veblen",
     "connected_infragraph_classes",
     "count_infragraph",
-    "TraceVector",
     "CoefficientTable",
     "trace_d",
     "trace_vector",
@@ -98,10 +91,7 @@ __all__ = [
     "partition_sum_check",
     "threshold_single_edge",
     "threshold_search",
-    "HypergraphDocument",
     "parse_document",
-    "parse_hypergraph",
-    "serialize_document",
     "serialize_hypergraph",
     "emit_table",
     "__version__",

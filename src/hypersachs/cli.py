@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .classical import charpoly_graph, harary_sachs_coeffs, threshold_search
-from .errors import HypersachsError, UsageError
-from .formats import emit_table, parse_document, rational_str
+from .errors import ConsistencyFailure, HypersachsError, UsageError
+from .formats import TABLE_FORMATS, emit_table, parse_document, rational_str
 from .hypergraph import MultiHypergraph
 from .rooting import assoc_coeff
 from .simplex import simplex_Ck
@@ -29,6 +29,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """The argparse type of every order, size and budget: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="hypersachs", description=__doc__)
@@ -38,13 +49,11 @@ def _build_parser() -> _Parser:
         sp.add_argument("--input", required=True, help="host file, or - for stdin")
 
     def add_format(sp):
-        sp.add_argument(
-            "--format", choices=("structured", "csv", "human"), default="human"
-        )
+        sp.add_argument("--format", choices=TABLE_FORMATS, default="human")
 
     sp = sub.add_parser("coeffs", help="codegree coefficient table of a host")
     add_input(sp)
-    sp.add_argument("--max-codegree", type=int, required=True)
+    sp.add_argument("--max-codegree", type=_count, required=True)
     sp.add_argument("--with-breakdown", action="store_true")
     sp.add_argument("--name", default=None)
     add_format(sp)
@@ -52,13 +61,13 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("traces", help="normalized power-sum traces of a host")
     add_input(sp)
-    sp.add_argument("--max-order", type=int, required=True)
+    sp.add_argument("--max-order", type=_count, required=True)
     sp.add_argument(
         "--bruteforce",
         action="store_true",
         help="recompute each trace by the walk expansion (closed walks per star profile) and verify",
     )
-    sp.add_argument("--budget", type=int, default=10_000_000, help="work bound per order for --bruteforce: "
+    sp.add_argument("--budget", type=_count, default=10_000_000, help="work bound per order for --bruteforce: "
                     "multiplicity vectors to scan, star choices, trail-walk states (default: %(default)s)")
     add_format(sp)
     sp.set_defaults(func=_cmd_traces)
@@ -67,12 +76,12 @@ def _build_parser() -> _Parser:
     vsub = sp.add_subparsers(dest="veblen_command", required=True)
     spe = vsub.add_parser("enumerate", help="list connected classes at one size")
     spe.add_argument("--k", type=int, required=True)
-    spe.add_argument("--d", type=int, required=True)
+    spe.add_argument("--d", type=_count, required=True)
     spe.add_argument("--with-coefficients", action="store_true")
     spe.set_defaults(func=_cmd_veblen_enumerate)
     spc = vsub.add_parser("count", help="count classes at one size")
     spc.add_argument("--k", type=int, required=True)
-    spc.add_argument("--d", type=int, required=True)
+    spc.add_argument("--d", type=_count, required=True)
     spc.set_defaults(func=_cmd_veblen_count)
 
     sp = sub.add_parser("assoc-coeff", help="associated coefficient of a host")
@@ -88,26 +97,22 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser(
         "classical-check", help="graph coefficient identities, exhaustive + random"
     )
-    sp.add_argument("--max-n", type=int, default=5)
-    sp.add_argument("--random-graphs", type=int, default=200)
+    sp.add_argument("--max-n", type=_count, default=5)
+    sp.add_argument("--random-graphs", type=_count, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_classical_check)
 
     sp = sub.add_parser("threshold", help="last nonzero codegree up to a bound")
     add_input(sp)
-    sp.add_argument("--max-codegree", type=int, required=True)
+    sp.add_argument("--max-codegree", type=_count, required=True)
     add_format(sp)
     sp.set_defaults(func=_cmd_threshold)
 
     sp = sub.add_parser("atlas-export", help="connected class records, one per line")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument(
-        "--max-codegree",
-        type=int,
-        default=None,
-        help="export every size 1..D instead of a single --d",
-    )
+    size = sp.add_mutually_exclusive_group(required=True)
+    size.add_argument("--d", type=_count)
+    size.add_argument("--max-codegree", type=_count, help="export every size 1..D instead of a single --d")
     sp.add_argument("--output", default="-")
     sp.set_defaults(func=_cmd_atlas_export)
 
@@ -122,8 +127,7 @@ def _load_host(args) -> tuple[MultiHypergraph, str | None]:
         if not path.exists():
             raise UsageError(f"input file {args.input} does not exist")
         text = path.read_text()
-    doc = parse_document(text)
-    return doc.to_hypergraph(), doc.name
+    return parse_document(text)
 
 
 def _edges_str(H: MultiHypergraph) -> str:
@@ -148,32 +152,23 @@ def _atlas_lines(k: int, d: int, with_coeffs: bool) -> list[str]:
 
 
 def _cmd_coeffs(args) -> int:
-    if args.max_codegree < 0:
-        raise UsageError("--max-codegree must be >= 0")
     host, doc_name = _load_host(args)
     name = args.name if args.name is not None else doc_name
     table = codegree_coefficients(
         host, args.max_codegree, name=name, with_breakdown=args.with_breakdown
     )
-    sys.stdout.write(emit_table(table, args.format, with_breakdown=args.with_breakdown))
+    sys.stdout.write(emit_table(table, args.format))
     return 0
 
 
 def _cmd_traces(args) -> int:
-    if args.max_order < 0:
-        raise UsageError("--max-order must be >= 0")
     host, _ = _load_host(args)
-    rows = []
-    for d, value in enumerate(trace_vector(host, args.max_order).values, start=1):
-        if args.bruteforce:
+    rows = list(enumerate(trace_vector(host, args.max_order), start=1))
+    if args.bruteforce:
+        for d, value in rows:
             other = trace_bruteforce(host, d, budget=args.budget)
             if other != value:
-                print(
-                    f"error: trace {d} disagrees: {value} vs walk count {other}",
-                    file=sys.stderr,
-                )
-                return 1
-        rows.append((d, value))
+                raise ConsistencyFailure(f"trace {d} disagrees: {value} vs walk count {other}")
     if args.format == "csv":
         for d, v in rows:
             print(f"{d},{rational_str(v)}")
@@ -289,8 +284,6 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_atlas_export(args) -> int:
-    if (args.d is None) == (args.max_codegree is None):
-        raise UsageError("give exactly one of --d or --max-codegree")
     sizes = [args.d] if args.d is not None else list(range(1, args.max_codegree + 1))
     # the largest order first: its free tree fills every smaller one
     blocks = {d: _atlas_lines(args.k, d, with_coeffs=True) for d in reversed(sizes)}

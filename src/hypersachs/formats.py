@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -31,26 +30,6 @@ from .traces import CoefficientTable
 
 _HEADER_RE = re.compile(r"^k=(\d+)\s+n=(\d+)$")
 _MULT_RE = re.compile(r"^x(\d+)$")
-
-
-@dataclass(frozen=True)
-class HypergraphDocument:
-    """A parsed input: arity, ambient vertex count, edge records, and an
-    optional display name."""
-
-    k: int
-    n: int
-    edges: tuple[tuple[tuple[int, ...], int], ...]
-    name: str | None = None
-
-    def to_hypergraph(self) -> MultiHypergraph:
-        return MultiHypergraph.build(self.k, self.n, self.edges)
-
-    @classmethod
-    def from_hypergraph(
-        cls, H: MultiHypergraph, name: str | None = None
-    ) -> "HypergraphDocument":
-        return cls(H.k, H.n, H.edges, name)
 
 
 def _edge_from_tokens(
@@ -84,9 +63,9 @@ def _checked_edge(verts: list[int], k: int, n: int, line: int | None, prefix: st
     return tuple(sorted(verts))
 
 
-def _parse_lines(text: str) -> HypergraphDocument:
+def _parse_lines(text: str) -> tuple[MultiHypergraph, None]:
     header: tuple[int, int] | None = None
-    acc: dict[tuple[int, ...], int] = {}
+    records = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,18 +75,16 @@ def _parse_lines(text: str) -> HypergraphDocument:
             if not m:
                 raise ParseError('expected header "k=<int> n=<int>"', line_no)
             header = (int(m.group(1)), int(m.group(2)))
-            if header[0] < 1:
-                raise ParseError("k must be positive", line_no)
+            if header[0] < 2:
+                raise ParseError("k must be at least 2", line_no)
             continue
-        verts, mult = _edge_from_tokens(line.split(), header[0], header[1], line_no)
-        acc[verts] = acc.get(verts, 0) + mult
+        records.append(_edge_from_tokens(line.split(), header[0], header[1], line_no))
     if header is None:
         raise ParseError("empty input: no header line", None)
-    edges = tuple(sorted(acc.items()))
-    return HypergraphDocument(header[0], header[1], edges)
+    return MultiHypergraph.build(header[0], header[1], records), None
 
 
-def _parse_structured(text: str) -> HypergraphDocument:
+def _parse_structured(text: str) -> tuple[MultiHypergraph, str | None]:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -121,14 +98,14 @@ def _parse_structured(text: str) -> HypergraphDocument:
         if field not in obj:
             raise ParseError(f"missing field {field!r}", None)
     k, n = obj["k"], obj["n"]
-    if not isinstance(k, int) or not isinstance(n, int) or k < 1 or n < 0:
-        raise ParseError("k and n must be integers (k >= 1, n >= 0)", None)
+    if not isinstance(k, int) or not isinstance(n, int) or k < 2 or n < 0:
+        raise ParseError("k and n must be integers (k >= 2, n >= 0)", None)
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("name must be a string", None)
     if not isinstance(obj["edges"], list):
         raise ParseError("edges must be a list", None)
-    acc: dict[tuple[int, ...], int] = {}
+    records = []
     for i, rec in enumerate(obj["edges"]):
         if not isinstance(rec, dict) or "vertices" not in rec:
             raise ParseError(f"edge record {i} needs a vertices field", None)
@@ -140,43 +117,36 @@ def _parse_structured(text: str) -> HypergraphDocument:
             isinstance(v, int) for v in verts_raw
         ):
             raise ParseError(f"edge record {i}: vertices must be integers", None)
-        key = _checked_edge(verts_raw, k, n, None, f"edge record {i}: ")
-        acc[key] = acc.get(key, 0) + mult
-    return HypergraphDocument(k, n, tuple(sorted(acc.items())), name)
+        records.append((_checked_edge(verts_raw, k, n, None, f"edge record {i}: "), mult))
+    return MultiHypergraph.build(k, n, records), name
 
 
-def parse_document(text: str) -> HypergraphDocument:
+def parse_document(text: str) -> tuple[MultiHypergraph, str | None]:
+    """The host of a line or structured document, with its name (None in
+    the line format); repeated edges add their multiplicities."""
     if text.lstrip().startswith("{"):
         return _parse_structured(text)
     return _parse_lines(text)
 
 
-def parse_hypergraph(text: str) -> MultiHypergraph:
-    return parse_document(text).to_hypergraph()
-
-
-def serialize_document(doc: HypergraphDocument, format: str = "line") -> str:
+def serialize_hypergraph(
+    H: MultiHypergraph, format: str = "line", name: str | None = None
+) -> str:
     if format == "line":
-        lines = [f"k={doc.k} n={doc.n}"]
-        for verts, mult in doc.edges:
+        lines = [f"k={H.k} n={H.n}"]
+        for verts, mult in H.edges:
             suffix = f" x{mult}" if mult != 1 else ""
             lines.append(" ".join(map(str, verts)) + suffix)
         return "\n".join(lines) + "\n"
     if format == "structured":
-        obj: dict = {"k": doc.k, "n": doc.n}
-        if doc.name is not None:
-            obj["name"] = doc.name
+        obj: dict = {"k": H.k, "n": H.n}
+        if name is not None:
+            obj["name"] = name
         obj["edges"] = [
-            {"vertices": list(verts), "mult": mult} for verts, mult in doc.edges
+            {"vertices": list(verts), "mult": mult} for verts, mult in H.edges
         ]
         return json.dumps(obj, indent=2) + "\n"
     raise ValueError(f"unknown serialization format {format!r}")
-
-
-def serialize_hypergraph(
-    H: MultiHypergraph, format: str = "line", name: str | None = None
-) -> str:
-    return serialize_document(HypergraphDocument.from_hypergraph(H, name), format)
 
 
 def rational_str(x: Fraction | int) -> str:
@@ -190,11 +160,10 @@ def rational_str(x: Fraction | int) -> str:
 TABLE_FORMATS = ("structured", "csv", "human")
 
 
-def emit_table(
-    table: CoefficientTable, format: str = "human", with_breakdown: bool = False
-) -> str:
+def emit_table(table: CoefficientTable, format: str = "human") -> str:
     """Render a coefficient table.  csv rows are "d,value"; human and
-    structured renderings carry k, n, and the polynomial degree as well."""
+    structured renderings carry k, n, and the polynomial degree as well, and
+    the breakdown if the table has one."""
     if format not in TABLE_FORMATS:
         raise ValueError(f"format must be one of {TABLE_FORMATS}")
     host = table.host
@@ -209,7 +178,7 @@ def emit_table(
         width = max(len(str(d)) for d, _ in rows)
         for d, c in rows:
             out.append(f"c_{d:<{width}} = {rational_str(c)}")
-            if with_breakdown and table.breakdown and d in table.breakdown:
+            if table.breakdown and d in table.breakdown:
                 for code, val in table.breakdown[d]:
                     out.append(f"  {code.hexdigest()}  {rational_str(val)}")
         return "\n".join(out) + "\n"
@@ -220,7 +189,7 @@ def emit_table(
     obj["coefficients"] = [
         {"d": d, "value": rational_str(c)} for d, c in rows
     ]
-    if with_breakdown and table.breakdown is not None:
+    if table.breakdown is not None:
         obj["breakdown"] = {
             str(d): [
                 {"class": code.hexdigest(), "value": rational_str(val)}

@@ -60,9 +60,6 @@ class MultiHypergraph:
     # ------------------------------------------------------------------
     # basic views
 
-    def multiplicity(self, edge) -> int:
-        return dict(self.edges).get(tuple(sorted(edge)), 0)
-
     @property
     def edge_count(self) -> int:
         """Total number of edges counted with multiplicity."""

@@ -6,9 +6,9 @@ hypergraphs, all in exact rational arithmetic.
 the host with d edges contributes -(k-1)^n * weight * labeled count, and
 the terms of order d sum to -Tr_d/d.  `trace_d` returns -d times that sum,
 so it is no certificate of the class weights.  One pass of Newton's
-identities per table (`_newton`, which `schur_P` reads too) turns the
-per-order sums into c_0..c_D in O(D^2) rational steps, and one walk over
-the multisets of the same terms (`_breakdowns`) splits every c_d by class.
+identities per table (`_newton`) turns the per-order sums into c_0..c_D in
+O(D^2) rational steps, and one walk over the multisets of the same terms
+(`_breakdowns`) splits every c_d by class.
 
 `trace_bruteforce` certifies the power sums without any class data.  It
 evaluates the trace formula of the adjacency tensor (Morozov & Shakirov
@@ -36,19 +36,6 @@ from .veblen_enum import connected_infragraph_classes
 
 
 @dataclass(frozen=True)
-class TraceVector:
-    """Power sums of orders 1..len(values) for a host."""
-
-    host: MultiHypergraph
-    values: tuple[Fraction, ...]
-
-    def trace(self, d: int) -> Fraction:
-        if not 1 <= d <= len(self.values):
-            raise IndexError(f"trace order {d} outside 1..{len(self.values)}")
-        return self.values[d - 1]
-
-
-@dataclass(frozen=True)
 class CoefficientTable:
     """Characteristic-polynomial coefficients c_0..c_D of a host, with c_0=1,
     optionally with per-order breakdowns into isomorphism-class contributions."""
@@ -71,10 +58,11 @@ def trace_d(host: MultiHypergraph, d: int) -> Fraction:
     return -d * sum((x for _, _, x in _order_terms(host, d)), Fraction(0))
 
 
-def trace_vector(host: MultiHypergraph, max_order: int) -> TraceVector:
+def trace_vector(host: MultiHypergraph, max_order: int) -> tuple[Fraction, ...]:
+    """Power sums of orders 1..max_order."""
     # the largest order first: its walk fills the tables of the smaller ones
     values = [trace_d(host, d) for d in range(max_order, 0, -1)]
-    return TraceVector(host=host, values=tuple(reversed(values)))
+    return tuple(reversed(values))
 
 
 class _WalkExpansion:
@@ -187,17 +175,6 @@ def _newton(ts) -> list[Fraction]:
     for i in range(1, len(ts) + 1):
         P.append(sum((j * ts[j - 1] * P[i - j] for j in range(1, i + 1)), Fraction(0)) / i)
     return P
-
-
-def schur_P(d: int, ts) -> Fraction:
-    """d-th complete-homogeneous-style polynomial in the power-sum inputs
-    (`_newton`'s P_d of the first d inputs)."""
-    if d < 0:
-        raise ValueError("order must be >= 0")
-    tvals = [Fraction(t) for t in ts]
-    if len(tvals) < d:
-        raise ValueError(f"need at least {d} inputs, got {len(tvals)}")
-    return _newton(tvals[:d])[d]
 
 
 def _order_terms(host: MultiHypergraph, d: int):

@@ -70,23 +70,6 @@ class IsoClassRecord:
     aut_count: int | None = None
 
 
-@dataclass(frozen=True)
-class OccurrenceCount:
-    """Number of sub-multi-hypergraph occurrences; integral whenever the
-    counted graph is connected."""
-
-    value: Fraction
-
-    @property
-    def is_integral(self) -> bool:
-        return self.value.denominator == 1
-
-    def integer_value(self) -> int:
-        if not self.is_integral:
-            raise ValueError(f"occurrence count {self.value} is not integral")
-        return self.value.numerator
-
-
 def _sorted_records(by_code: dict, with_coeffs: bool, free: bool = False) -> tuple[IsoClassRecord, ...]:
     # host tables hold [representative, labeled count], free ones (representative, |Aut|)
     out = []
@@ -439,16 +422,16 @@ def connected_infragraph_classes(
     return _sorted_records(_host_tables(host, d)[d - 1], with_coeffs)
 
 
-def count_infragraph(host: MultiHypergraph, H: MultiHypergraph) -> OccurrenceCount:
+def count_infragraph(host: MultiHypergraph, H: MultiHypergraph) -> Fraction:
     """Occurrence count of H in the host: for connected H the number of
-    multiplicity functions on host edges realizing H's class; in general the
-    product over H's component classes divided by the factorials of repeated
-    components."""
+    multiplicity functions on host edges realizing H's class, an integer; in
+    general the product over H's component classes divided by the factorials
+    of repeated components."""
     require_simple(host)
     if host.k != H.k:
-        return OccurrenceCount(Fraction(0))
+        return Fraction(0)
     if H.edge_count == 0:
-        return OccurrenceCount(Fraction(1))
+        return Fraction(1)
     class_mult: dict[CanonicalCode, list] = {}
     for comp in components(H):
         class_mult.setdefault(canonical_form(comp), [comp, 0])[1] += 1
@@ -456,7 +439,7 @@ def count_infragraph(host: MultiHypergraph, H: MultiHypergraph) -> OccurrenceCou
     value = Fraction(1)
     for code, (comp, mu) in class_mult.items():
         value *= Fraction(tables[comp.edge_count - 1].get(code, (comp, 0))[1]) ** mu / factorial(mu)
-    return OccurrenceCount(value)
+    return value
 
 
 def clear_caches() -> None:

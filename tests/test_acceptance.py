@@ -49,7 +49,7 @@ from hypersachs.formats import serialize_hypergraph
 from hypersachs.hypergraph import MultiHypergraph, veblen_partitions
 from hypersachs.rooting import assoc_coeff, assoc_coeff_connected, euler_orientations
 from hypersachs.simplex import simplex_Ck, simplex_orientation
-from hypersachs.traces import codegree_coefficients, schur_P, trace_bruteforce, trace_d
+from hypersachs.traces import _newton, codegree_coefficients, trace_bruteforce, trace_d
 from hypersachs.veblen_enum import (
     connected_infragraph_classes,
     count_all_veblen,
@@ -454,10 +454,10 @@ def test_regression_triple_star_weight_certificate():
     host = MultiHypergraph.build(3, g.n, list(g.support))
     traces = [trace_d(host, j) for j in range(1, 10)]
     ts = [F(-traces[j - 1], j) for j in range(1, 10)]
-    c9 = schur_P(9, ts)
+    c9 = _newton(ts)[9]
     assert c9 == -472062
     assert codegree_coefficients(host, 9).coefficient(9) == c9
-    assert count_infragraph(host, g).integer_value() == 1
+    assert count_infragraph(host, g) == 1
     by_coeff = {
         rec.assoc_coeff: rec.labeled_count
         for rec in connected_infragraph_classes(host, 9, with_coeffs=True)

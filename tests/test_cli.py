@@ -178,9 +178,17 @@ def test_atlas_export_to_file(tmp_path, capsys):
         ["coeffs", "--max-codegree", "3"],
         ["atlas-export", "--k", "3", "--d", "5", "--jobs", "2"],
         ["classical-check", "--jobs", "2"],
-        # negative orders are refused before the input is read
+        # negative orders, sizes and budgets are refused before any input is read
         ["coeffs", "--input", "-", "--max-codegree", "-1"],
         ["traces", "--input", "-", "--max-order", "-2"],
+        ["traces", "--input", "-", "--max-order", "2", "--budget", "-5"],
+        ["atlas-export", "--k", "3", "--max-codegree", "-1"],
+        ["atlas-export", "--k", "3", "--d", "-1"],
+        ["veblen", "count", "--k", "3", "--d", "-1"],
+        ["veblen", "enumerate", "--k", "3", "--d", "-2"],
+        ["threshold", "--input", "-", "--max-codegree", "-1"],
+        ["classical-check", "--random-graphs", "-3"],
+        ["classical-check", "--max-n", "-1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

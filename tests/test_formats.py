@@ -8,14 +8,12 @@ import pytest
 from hypersachs.catalog import fano_plane, single_edge
 from hypersachs.errors import ArityError, ParseError, VertexRangeError
 from hypersachs.formats import (
-    HypergraphDocument,
     emit_table,
     parse_document,
-    parse_hypergraph,
     rational_str,
-    serialize_document,
     serialize_hypergraph,
 )
+from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.traces import codegree_coefficients
 
 LINE_DOC = """\
@@ -28,16 +26,15 @@ k=3 n=5
 
 
 def test_parse_line_format():
-    doc = parse_document(LINE_DOC)
-    assert (doc.k, doc.n, doc.name) == (3, 5, None)
-    assert doc.edges == (((1, 2, 3), 3), ((1, 4, 5), 1))
-    H = parse_hypergraph(LINE_DOC)
+    H, name = parse_document(LINE_DOC)
+    assert (H.k, H.n, name) == (3, 5, None)
+    assert H.edges == (((1, 2, 3), 3), ((1, 4, 5), 1))
     assert H.edge_count == 4
 
 
 def test_parse_inline_comments_and_blanks():
     text = "k=2 n=3\n\n1 2  # the only edge\n"
-    assert parse_document(text).edges == (((1, 2), 1),)
+    assert parse_document(text)[0].edges == (((1, 2), 1),)
 
 
 @pytest.mark.parametrize(
@@ -48,6 +45,7 @@ def test_parse_inline_comments_and_blanks():
         ("1 2 3\n", ParseError, 1),
         ("", ParseError, None),
         ("k=3 n=4\n\n\n1 2 3 x0\n", ParseError, 4),
+        ("k=1 n=2\n1\n", ParseError, 1),
     ],
 )
 def test_line_errors_carry_positions(text, err, line):
@@ -76,9 +74,9 @@ def test_parse_structured():
             ],
         }
     )
-    doc = parse_document(text)
-    assert doc.name == "plane"
-    assert doc.edges == (((1, 2, 3), 3),)
+    H, name = parse_document(text)
+    assert name == "plane"
+    assert H == MultiHypergraph.build(3, 7, [((1, 2, 3), 3)])
 
 
 @pytest.mark.parametrize(
@@ -91,6 +89,7 @@ def test_parse_structured():
         ({"k": 3, "n": 4, "edges": [{"vertices": [1, 2, 3], "mult": 0}]}, ParseError),
         ({"k": 3, "n": 4, "edges": [[1, 2, 3]]}, ParseError),
         ({"k": "3", "n": 4, "edges": []}, ParseError),
+        ({"k": 1, "n": 2, "edges": []}, ParseError),
     ],
 )
 def test_structured_rejects(obj, err):
@@ -104,21 +103,18 @@ def test_structured_bad_json_positions():
 
 
 def test_serialize_line_golden():
-    doc = HypergraphDocument(3, 5, (((1, 2, 3), 3), ((1, 4, 5), 1)))
-    assert serialize_document(doc) == "k=3 n=5\n1 2 3 x3\n1 4 5\n"
+    H = MultiHypergraph.build(3, 5, [((1, 2, 3), 3), ((1, 4, 5), 1)])
+    assert serialize_hypergraph(H) == "k=3 n=5\n1 2 3 x3\n1 4 5\n"
 
 
 def test_round_trips():
     for fmt in ("line", "structured"):
         text = serialize_hypergraph(fano_plane(), fmt, name="plane")
-        doc = parse_document(text)
-        assert doc.to_hypergraph() == fano_plane()
-        if fmt == "structured":
-            assert doc.name == "plane"
+        H, name = parse_document(text)
+        assert H == fano_plane()
+        assert name == ("plane" if fmt == "structured" else None)
         # serializing again is a fixed point
-        assert serialize_document(doc, fmt) == serialize_document(
-            parse_document(serialize_document(doc, fmt)), fmt
-        )
+        assert serialize_hypergraph(H, fmt, name) == text
 
 
 def test_serialize_rejects_unknown_format():
@@ -148,12 +144,15 @@ def test_emit_table_human():
 
 def test_emit_table_structured_with_breakdown():
     table = codegree_coefficients(single_edge(3), 3, with_breakdown=True)
-    obj = json.loads(emit_table(table, "structured", with_breakdown=True))
+    obj = json.loads(emit_table(table, "structured"))
     assert obj["k"] == 3 and obj["n"] == 3 and obj["degree"] == 12
     assert obj["coefficients"][3] == {"d": 3, "value": "-3"}
     assert list(obj["breakdown"]) == ["1", "2", "3"]
     (entry,) = obj["breakdown"]["3"]
     assert entry["value"] == "-3" and len(entry["class"]) == 16
+    # a table without a breakdown renders none
+    plain = json.loads(emit_table(codegree_coefficients(single_edge(3), 3), "structured"))
+    assert "breakdown" not in plain
 
 
 def test_emit_table_rejects_unknown_format():
