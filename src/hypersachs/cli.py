@@ -15,13 +15,16 @@ import sys
 from pathlib import Path
 
 from .classical import charpoly_graph, harary_sachs_coeffs, threshold_search
-from .errors import ConsistencyFailure, HypersachsError, UsageError
+from .errors import ConsistencyFailure, HypersachsError, SizeExceeded, UsageError
 from .formats import TABLE_FORMATS, emit_table, parse_document, rational_str
 from .hypergraph import MultiHypergraph
 from .rooting import assoc_coeff
 from .simplex import simplex_Ck
 from .traces import codegree_coefficients, trace_bruteforce, trace_vector
 from .veblen_enum import count_all_veblen, enumerate_connected_veblen
+
+
+CHECK_GRAPHS, GRAPH_S = 100_000, 9e-4  # classical-check's graph bound, seconds per graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,8 +70,8 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="recompute each trace by the walk expansion (closed walks per star profile) and verify",
     )
-    sp.add_argument("--budget", type=_count, default=10_000_000, help="work bound per order for --bruteforce: "
-                    "multiplicity vectors to scan, star choices, trail-walk states (default: %(default)s)")
+    sp.add_argument("--budget", type=_count, default=10_000_000, help="work bound per order for --bruteforce, checked "
+                    "before it starts: multiplicity vectors to scan, star choices (default: %(default)s)")
     add_format(sp)
     sp.set_defaults(func=_cmd_traces)
 
@@ -235,25 +238,28 @@ def _check_one_graph(G: MultiHypergraph) -> str | None:
 
 def _cmd_classical_check(args) -> int:
     import random
-    from itertools import combinations
+    from itertools import chain, combinations
+    from math import comb
 
-    hosts = []
-    for n in range(0, args.max_n + 1):  # every labeled graph
-        pairs = list(combinations(range(1, n + 1), 2))
-        for mask in range(1 << len(pairs)):
-            hosts.append(MultiHypergraph.build(2, n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
-    exhaustive = len(hosts)
+    # bounded before any graph is built; 2^C(8,2) alone passes the bound
+    graphs = args.random_graphs + sum(1 << comb(n, 2) for n in range(min(args.max_n, 8) + 1))
+    if graphs > CHECK_GRAPHS:
+        over = "over " if args.max_n > 8 else ""
+        raise SizeExceeded(f"classical-check of {over}{graphs} graphs, bound {CHECK_GRAPHS}; "
+                           f"estimate {over}{graphs * GRAPH_S:.3g} s")
     rng = random.Random(args.seed)
-    for _ in range(args.random_graphs):
-        n = rng.randint(6, 8)
-        hosts.append(MultiHypergraph.build(2, n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5]))
+    labeled = ((n, [p for i, p in enumerate(combinations(range(1, n + 1), 2)) if mask >> i & 1])
+               for n in range(args.max_n + 1) for mask in range(1 << comb(n, 2)))
+    sampled = ((n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5])
+               for n in (rng.randint(6, 8) for _ in range(args.random_graphs)))
+    hosts = (MultiHypergraph.build(2, n, edges) for n, edges in chain(labeled, sampled))
     failures = [f for f in map(_check_one_graph, hosts) if f]
     if failures:
         for f in failures:
             print(f"mismatch: {f}", file=sys.stderr)
         return 1
     print(
-        f"checked {exhaustive} graphs on <= {args.max_n} vertices and "
+        f"checked {graphs - args.random_graphs} graphs on <= {args.max_n} vertices and "
         f"{args.random_graphs} random graphs on 6..8: all coefficient "
         f"expansions match the characteristic polynomial"
     )

@@ -18,8 +18,11 @@ d_1 + ... + d_n = d of prod_v [(sum_{e ∋ v} m_e prod_{w ∈ e∖v} ∂/∂z_vw
 operator gives star multiplicities s[v, e], the times edge e is rooted at v;
 they fix an edge multiset mu and an arc profile c, whose monomial takes
 tr(Z^L) to W(c) prod_a c_a!, with W(c) the pointed closed walks of arc
-multiset c.  W(c) vanishes unless c is balanced, i.e. d_v = deg_mu(v)/k,
-and is counted by a memoised trail walk.
+multiset c.  W(c) vanishes unless c is balanced, i.e. d_v = deg_mu(v)/k;
+then out(v) = (k-1) d_v, and by the BEST theorem (van Aardenne-Ehrenfest &
+de Bruijn 1951) and the matrix-tree theorem (Tutte 1948) W(c) prod_a c_a! =
+L t(c) prod_v ((k-1) d_v - 1)!, with t(c) one minor of c's out-degree
+Laplacian, computed by the module's own `_det`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from itertools import product
 from math import comb, factorial, inf, prod
 
 from .canon import CanonicalCode, _union_code
-from .errors import ConsistencyFailure, NormalizationFailure, SizeExceeded
+from .errors import ConsistencyFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, _compositions, require_simple
 from .veblen_enum import connected_infragraph_classes
 
@@ -66,44 +69,14 @@ def trace_vector(host: MultiHypergraph, max_order: int) -> tuple[Fraction, ...]:
 
 
 class _WalkExpansion:
-    """The trace formula on one host, summed by star profile.  The profiles of
-    one edge multiset share a trail memo keyed by one integer that packs the
-    current vertex and the arc counts; the trail walk cannot be sized up
-    front, so its states count against `budget` as it runs."""
-
-    MAX_WALK = 300  # the trail walk recurses twice per arc of a walk
+    """The trace formula on one host, summed by star profile.  Every bound is
+    checked before the first star term; each balanced profile costs one minor."""
 
     def __init__(self, host: MultiHypergraph, budget: float = inf):
-        self.k, self.n, self.edges = host.k, host.n, host.edges
-        self.budget, self.trail_states = budget, 0
+        self.k, self.n, self.edges, self.budget = host.k, host.n, host.edges, budget
         self.arcs = sorted({(v, w) for e, _ in host.edges for v in e for w in e if v != w})
-        self.out_arcs = {v: [i for i, (u, _) in enumerate(self.arcs) if u == v] for v in host.non_isolated}
         # stars[i][j]: the arcs of edge i rooted at its j-th vertex
         self.stars = [[[self.arcs.index((v, w)) for w in e if w != v] for v in e] for e, _ in host.edges]
-
-    def _trails(self, cur: int, code: int, memo: dict) -> int:
-        """Arc sequences from `cur` that use every remaining arc exactly once;
-        `code` holds the remaining counts as digits of radix `self.radix` at
-        place values `self.place`, so code + cur is the state's memo key."""
-        hit = memo.get(code + cur) if code else 1
-        if hit is None:
-            self.trail_states += 1
-            if self.trail_states > self.budget:
-                raise SizeExceeded(f"walk expansion: {self.trail_states} trail states, budget {self.budget}")
-            hit = sum(self._trails(self.arcs[i][1], code - self.place[i], memo)
-                      for i in self.out_arcs[cur] if code // self.place[i] % self.radix)
-            memo[code + cur] = hit
-        return hit
-
-    def _closed_walks(self, profile: tuple[int, ...], v0: int, visits: int, memo: dict) -> int:
-        """W(c) for a balanced profile c in which v0 has `visits` out-arcs: a trail
-        through every arc of c is closed, and a closed walk of length L passes v0
-        `visits` times over its L rotations, so W(c) * visits = L * trails(v0)."""
-        code = sum(c * p for c, p in zip(profile, self.place))
-        rotations = sum(profile) * self._trails(v0, code, memo)
-        if rotations % visits:
-            raise NormalizationFailure(f"{rotations} rotations do not split over {visits} visits of {v0}")
-        return rotations // visits
 
     def _quotas(self, mu) -> dict[int, int] | None:
         """d_v = deg(v)/k under the edge multiset mu; None if k divides not every degree."""
@@ -113,19 +86,11 @@ class _WalkExpansion:
                 deg[v] = deg.get(v, 0) + m
         return None if any(x % self.k for x in deg.values()) else {v: x // self.k for v, x in deg.items()}
 
-    def edge_multiset_sum(self, mu) -> Fraction:
-        """Sum of the star terms whose edge multiset is `mu` (aligned with
-        the host's edges), including the (k-1)^(n-1) prefactor."""
-        k, quota = self.k, self._quotas(mu)
-        if quota is None:
-            return Fraction(0)
-        v0 = max(quota, key=quota.get)
-        per_edge = [[split for split in _compositions(m, k) if all(s <= quota[v] for v, s in zip(e, split))]
+    def _profiles(self, mu, quota: dict[int, int]):
+        """(c, den) for each star choice under mu whose arc profile c (aligned
+        with self.arcs) is balanced, with den = prod s[v, e]!."""
+        per_edge = [[split for split in _compositions(m, self.k) if all(s <= quota[v] for v, s in zip(e, split))]
                     for (e, _), m in zip(self.edges, mu)]
-        # radix d + 1 above the vertex digit: no arc is used more than d times
-        self.radix = sum(mu) + 1
-        self.place = [(self.n + 1) * self.radix**i for i in range(len(self.arcs))]
-        total, memo = Fraction(0), {}
         for splits in product(*per_edge):
             counts, rooted, den = [0] * len(self.arcs), dict.fromkeys(quota, 0), 1
             for (edge, _), stars, split in zip(self.edges, self.stars, splits):
@@ -135,16 +100,31 @@ class _WalkExpansion:
                         counts[a] += s
             # in(v) = deg(v) - d_v, so the profile is balanced iff d_v = deg(v)/k
             if rooted == quota:
-                walks = self._closed_walks(tuple(counts), v0, (k - 1) * quota[v0], memo)
-                total += Fraction(walks * prod(map(factorial, counts)), den)
+                yield counts, den
+
+    def _tree_count(self, counts, quota: dict[int, int]) -> int:
+        """t(c), the minor of c's out-degree Laplacian, out(v) = (k-1) d_v, on
+        the vertices with d_v > 0 but the first: the arborescences into that
+        vertex (matrix-tree theorem), 0 iff c is not connected."""
+        rows, arcs = [v for v, q in quota.items() if q][1:], dict(zip(self.arcs, counts))
+        return _det([[(self.k - 1) * quota[v] if v == w else -arcs.get((v, w), 0) for w in rows] for v in rows])
+
+    def edge_multiset_sum(self, mu) -> Fraction:
+        """Sum of the star terms whose edge multiset is `mu` (aligned with
+        the host's edges), including the (k-1)^(n-1) prefactor.  By the BEST
+        theorem W(c) prod_a c_a! = L t(c) prod_v ((k-1) d_v - 1)!, and
+        ((k-1) d_v - 1)! d_v! / ((k-1) d_v)! = d_v! / ((k-1) d_v)."""
+        k, quota = self.k, self._quotas(mu)
+        if quota is None:
+            return Fraction(0)
+        trees = sum((Fraction(self._tree_count(c, quota), den) for c, den in self._profiles(mu, quota)), Fraction(0))
         scale = prod(mult**m for (_, mult), m in zip(self.edges, mu)) * Fraction(k - 1) ** (self.n - 1)
-        return scale * total * prod(Fraction(factorial(q), factorial((k - 1) * q)) for q in quota.values())
+        tours = (k - 1) * sum(mu) * prod(Fraction(factorial(q), (k - 1) * q) for q in quota.values() if q)
+        return scale * tours * trees
 
     def trace(self, d: int) -> Fraction:
-        """Tr_d; walk length, vectors to scan and star choices meet their bounds first."""
+        """Tr_d; vectors to scan and star choices meet their bounds first."""
         k, E, budget = self.k, len(self.edges), self.budget
-        if (L := d * (k - 1)) > self.MAX_WALK:
-            raise SizeExceeded(f"walk expansion of order {d}: walks of length {L}, limit {self.MAX_WALK}")
         scan = comb(d + E - 1, E - 1) if E else 0
         if scan > budget:
             raise SizeExceeded(f"walk expansion of order {d}: {scan} multiplicity vectors, budget {budget}")
@@ -155,14 +135,28 @@ class _WalkExpansion:
         return sum((self.edge_multiset_sum(mu) for mu in vectors), Fraction(0))
 
 
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a reduced Laplacian by fraction-free (Bareiss)
+    elimination, in place; the certificate's own, not `linalg`'s.  It is an
+    M-matrix, so a zero pivot, a leading principal minor, makes the
+    determinant 0 (Fischer's inequality) and no row is swapped."""
+    prev = 1
+    for i in range(len(m)):
+        if not m[i][i]:
+            return 0
+        for r in range(i + 1, len(m)):
+            for j in range(i + 1, len(m)):
+                m[r][j] = (m[r][j] * m[i][i] - m[r][i] * m[i][j]) // prev
+        prev = m[i][i]
+    return prev
+
+
 def trace_bruteforce(host: MultiHypergraph, d: int, budget: int = 10_000_000) -> Fraction:
-    """Power sum of order d by the walk expansion (see the module docstring).
-    Walks longer than 300 arcs, or more than `budget` multiplicity vectors to
-    scan or prod_e C(mu_e+k-1, k-1) star choices, raise SizeExceeded before
-    any star term; the trail walk counts its states against `budget`.  A
-    stored state costs about 110 bytes (tracemalloc, Python 3.11, a single
-    4-edge at d=16 stopped at 1,000,000 states), so the trail memo peaks
-    below about 1.1 GB per 10,000,000 states, the default budget."""
+    """Power sum of order d by the walk expansion (see the module docstring),
+    one Laplacian minor per balanced star profile.  More than `budget`
+    multiplicity vectors to scan or prod_e C(mu_e+k-1, k-1) star choices
+    raise SizeExceeded before any star term; past those two bounds the
+    expansion raises nothing."""
     if d < 1:
         raise ValueError("trace order must be >= 1")
     return _WalkExpansion(host, budget).trace(d)

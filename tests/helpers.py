@@ -286,10 +286,11 @@ def single_edge_profile(v: int, t: int) -> int:
 # realize its out-arcs as a union of edge stars.  The package's walk
 # expansion (`traces._WalkExpansion`, behind `trace_bruteforce`) evaluates
 # the same trace formula grouped by star profile and is checked against it
-# on small hosts.  `walk_traces` and `walk_weight` read that expansion, which
-# uses no class weight, enumerator, rooting, digraph or linear algebra, and
-# a connected class G with d edges contributes d * (k-1)^n * weight(G) to
-# Tr_d.
+# on small hosts; `trail_walk_count` is the reference for its per-profile
+# closed-walk count, which it takes from the BEST theorem.  `walk_traces` and
+# `walk_weight` read that expansion, which uses no class weight, enumerator,
+# rooting, digraph or linear algebra, and a connected class G with d edges
+# contributes d * (k-1)^n * weight(G) to Tr_d.
 
 
 def _star_decomposition_count(arcs_out, stars, d_i):
@@ -377,6 +378,34 @@ def walk_enumeration_trace(host, d, max_walks=10_000_000):
             factor *= factorial(c)
         total += walk_count * factor
     return Fraction(k - 1) ** (host.n - 1) * total
+
+
+def _trails(arcs, cur, left, memo):
+    """Arc sequences from `cur` that use arcs[i] exactly left[i] times."""
+    if not any(left):
+        return 1
+    if (cur, left) not in memo:
+        memo[cur, left] = sum(_trails(arcs, w, left[:i] + (left[i] - 1,) + left[i + 1:], memo)
+                              for i, (v, w) in enumerate(arcs) if v == cur and left[i])
+    return memo[cur, left]
+
+
+def trail_walk_count(profile):
+    """W(c), the pointed closed walks whose arc multiset is the balanced
+    profile c ({(v, w): count}), by a memoised trail walk from the vertex v0
+    with the most out-arcs: every trail through all of c is closed, and a
+    closed walk of length L passes v0 out(v0) times over its L rotations, so
+    W(c) * out(v0) = L * trails(v0)."""
+    arcs = sorted(a for a, c in profile.items() if c)
+    left = tuple(profile[a] for a in arcs)
+    out = {}
+    for (v, _), c in zip(arcs, left):
+        out[v] = out.get(v, 0) + c
+    v0 = max(out, key=out.get)
+    rotations = sum(left) * _trails(arcs, v0, left, {})
+    if rotations % out[v0]:
+        raise NormalizationFailure(f"{rotations} rotations do not split over {out[v0]} visits of {v0}")
+    return rotations // out[v0]
 
 
 def walk_traces(host, max_order):

@@ -11,6 +11,7 @@ import pytest
 
 from hypersachs import cli
 from hypersachs.cli import dispatch
+from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.simplex import MAX_K
 
 # sha256 of hex(simplex_Ck(MAX_K).C_k), as pinned in test_simplex.test_max_k_boundary
@@ -146,6 +147,17 @@ def test_classical_check_smoke(capsys):
                    "--seed", "1"])
     assert rc == 0
     assert "all coefficient expansions match" in capsys.readouterr().out
+
+
+def test_classical_check_bounds_its_graphs_before_building_any(monkeypatch, capsys):
+    # sum_{n <= 7} 2^C(n, 2) = 2,131,020 labeled graphs and 200 random ones
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a graph was built before the bound was checked")
+
+    monkeypatch.setattr(MultiHypergraph, "build", forbidden)
+    assert dispatch(["classical-check", "--max-n", "7"]) == 1
+    assert capsys.readouterr().err == (
+        "error: SizeExceeded: classical-check of 2131220 graphs, bound 100000; estimate 1.92e+03 s\n")
 
 
 def test_threshold_formats(edge_file, capsys):

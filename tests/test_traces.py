@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+import helpers
 from helpers import STAR_HOST, walk_enumeration_trace
 from hypersachs import canon, digraph, linalg, rooting, traces, veblen_enum
 from hypersachs.catalog import (
@@ -95,11 +96,9 @@ def test_bruteforce_budget():
 
 def test_bruteforce_budget_message_states_the_estimate(monkeypatch):
     # K_4^(3) at d=4: C(7, 3) = 35 vectors to scan; only mu = (1, 1, 1, 1) is
-    # Veblen, with 3^4 = 81 star choices; the trail walk, which cannot be
-    # sized up front, counts its 218 states as it runs
-    assert trace_bruteforce(complete_kgraph(3), 4, budget=218) == 168
-    with pytest.raises(SizeExceeded, match=r"^walk expansion: 218 trail states, budget 217$"):
-        trace_bruteforce(complete_kgraph(3), 4, budget=217)
+    # Veblen, with 3^4 = 81 star choices, and those two counts are the whole
+    # bound: each balanced profile then costs one determinant
+    assert trace_bruteforce(complete_kgraph(3), 4, budget=81) == 168
     # the estimate comes before any star term is evaluated
     monkeypatch.setattr(_WalkExpansion, "edge_multiset_sum", None)
     with pytest.raises(SizeExceeded, match=r"^walk expansion of order 4: 35 multiplicity vectors, budget 10$"):
@@ -114,14 +113,12 @@ def test_bruteforce_budget_message_states_the_estimate(monkeypatch):
         trace_bruteforce(fano_plane(), 9, budget=47144)
 
 
-def test_bruteforce_bounds_walk_length():
-    # the trail walk recurses per arc, so walk length is bounded up front
-    # rather than by Python's recursion limit
-    assert trace_bruteforce(single_edge(2), 300) == 2
-    with pytest.raises(SizeExceeded, match=r"^walk expansion of order 301: walks of length 301, limit 300$"):
-        trace_bruteforce(single_edge(2), 301)
-    with pytest.raises(SizeExceeded, match="walks of length 302"):
-        trace_bruteforce(single_edge(3), 151)
+def test_bruteforce_evaluates_long_walks():
+    # a profile's walks are counted by one determinant whatever their
+    # length, so walks of 300 arcs and more evaluate like short ones
+    assert [trace_bruteforce(single_edge(2), d) for d in (300, 301, 302)] == [2, 0, 2]
+    assert trace_bruteforce(single_edge(3), 151) == 0
+    assert trace_bruteforce(single_edge(3), 153) == trace_d(single_edge(3), 153) == 9
 
 
 @pytest.mark.parametrize(
@@ -154,11 +151,12 @@ def test_bruteforce_uses_no_class_data(monkeypatch):
 
 
 def test_inexact_walk_rotation_split_raises(monkeypatch):
-    # a package error, not an assert: with one trail per profile, K_4^(3) at
-    # d=7 has a profile whose 14 rotations do not split over 4 visits
-    monkeypatch.setattr(_WalkExpansion, "_trails", lambda self, cur, rem, memo: 1)
-    with pytest.raises(NormalizationFailure, match="do not split"):
-        trace_bruteforce(complete_kgraph(3), 7)
+    # the reference trail count raises a package error, not an assert: with
+    # one trail from vertex 1, this balanced profile's 5 rotations do not
+    # split over the 2 visits of vertex 1
+    monkeypatch.setattr(helpers, "_trails", lambda arcs, cur, left, memo: 1)
+    with pytest.raises(NormalizationFailure, match="5 rotations do not split over 2 visits"):
+        helpers.trail_walk_count({(1, 2): 2, (2, 1): 1, (2, 3): 1, (3, 1): 1})
 
 
 def test_schur_anchor_and_bounds():

@@ -7,8 +7,10 @@ walk (`helpers.walk_enumeration_trace`) where that is affordable, and then
 use it to certify class weights where walk enumeration is not.
 """
 
+import random
 import tracemalloc
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -16,21 +18,24 @@ from helpers import (
     STAR_HOST,
     all_simple_3graphs,
     newton_coefficients,
+    trail_walk_count,
     walk_enumeration_trace,
     walk_traces,
     walk_weight,
 )
 from hypersachs.catalog import (
     REFERENCE_VEBLEN,
+    complete_kgraph,
     cycle_graph,
     fano_plane,
     path_graph,
     single_edge,
 )
 from hypersachs.classical import charpoly_graph
-from hypersachs.hypergraph import MultiHypergraph
+from hypersachs.hypergraph import MultiHypergraph, _compositions
+from hypersachs.linalg import bareiss_det
 from hypersachs.rooting import assoc_coeff_connected
-from hypersachs.traces import _WalkExpansion, trace_bruteforce
+from hypersachs.traces import _WalkExpansion, _det, trace_bruteforce
 from hypersachs.veblen_enum import connected_infragraph_classes
 
 F = Fraction
@@ -88,27 +93,73 @@ def test_certifies_every_catalogued_class_weight():
 
 
 def test_certifies_fano_class_weights_at_depth():
-    # the Fano plane's classes of orders 12..21 lie past trace_bruteforce's
-    # reach on the plane, but those on few support edges stay cheap on their
-    # own support: at most 3 lines to order 15, at most 2 beyond.  The root-
+    # every class the Fano plane realizes at orders 12, 15 and 18 (7 + 11 +
+    # 19), and those on at most 2 support lines at order 21 (4), on its own
+    # support; more lines at 21 multiply the per-edge star splits.  The root-
     # count walk under `assoc_coeff_connected` is checked here against an
     # expansion that shares only the unbounded `_compositions` with it (not
     # `orientation_weight`, which enumerates the same root counts)
     checked = 0
-    for d, most in [(21, 2), (18, 2), (15, 3), (12, 3)]:
+    for d, most in [(21, 2), (18, 7), (15, 7), (12, 7)]:
         for record in connected_infragraph_classes(fano_plane(), d):
             G = record.representative
             if len(G.edges) <= most:
                 assert assoc_coeff_connected(G) == walk_weight(G), (d, G.edges)
                 checked += 1
-    assert checked == 20
+    assert checked == 41
 
 
-def test_trail_memo_bytes_per_state():
-    # three tripled lines of the Fano plane: the order-9 edge multiset with
-    # the most trail states (6539).  A state keyed by one packed integer
-    # costs a dict slot, the key and the count, about 100 bytes in all; a
-    # key holding a tuple of the 42 arc counts cost about 460.
+def test_best_count_matches_trail_walk():
+    # every distinct balanced profile of K_4^(3), of the Fano plane and of
+    # two disjoint edges to order 6: the closed walks W(c) that the expansion
+    # takes from one Laplacian minor, W(c) prod_a c_a! = L t(c) prod_v
+    # (out(v) - 1)!, equal the reference trail walk's count, and the minor
+    # vanishes exactly on the disconnected profiles
+    checked = disconnected = 0
+    for host in (complete_kgraph(3), fano_plane(), MultiHypergraph.build(3, 6, [(1, 2, 3), (4, 5, 6)])):
+        expansion, k, seen = _WalkExpansion(host), host.k, set()
+        for d in range(1, 7):
+            for mu in _compositions(d, len(host.edges)):
+                if (quota := expansion._quotas(mu)) is None:
+                    continue
+                for counts, _ in expansion._profiles(mu, quota):
+                    if tuple(counts) in seen:
+                        continue
+                    seen.add(tuple(counts))
+                    tours = (k - 1) * d * prod(factorial((k - 1) * q - 1) for q in quota.values() if q)
+                    best = F(tours * expansion._tree_count(counts, quota), prod(map(factorial, counts)))
+                    assert best == trail_walk_count(dict(zip(expansion.arcs, counts))), (host.edges, counts)
+                    checked, disconnected = checked + 1, disconnected + (best == 0)
+    assert (checked, disconnected) == (75, 1)
+
+
+def test_laplacian_minor_without_row_swaps():
+    # `_det` swaps no rows: a reduced out-degree Laplacian is an M-matrix, so
+    # a zero leading minor means a zero determinant.  Random balanced
+    # multidigraphs, unions of cycles inside one or two interleaved vertex
+    # blocks (so often disconnected), against the package's pivoting Bareiss
+    rng, zeros = random.Random(5), 0
+    for _ in range(500):
+        n, arcs = rng.randint(4, 8), {}
+        blocks = [[v for v in range(n) if v % 2 == b] for b in (0, 1)] if rng.random() < 0.5 else [list(range(n))]
+        for _ in range(rng.randint(1, 4)):
+            block = rng.choice([b for b in blocks if len(b) > 1])
+            cycle = rng.sample(block, rng.randint(2, len(block)))
+            for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+                arcs[v, w] = arcs.get((v, w), 0) + rng.randint(1, 3)
+        out = {v: sum(c for (u, _), c in arcs.items() if u == v) for v in range(n)}
+        rows = [v for v in range(n) if out[v]][1:]
+        lap = [[out[v] if v == w else -arcs.get((v, w), 0) for w in rows] for v in rows]
+        want = bareiss_det([row[:] for row in lap])
+        assert _det(lap) == want, arcs
+        zeros += want == 0
+    assert zeros > 100  # 140 of the 500
+
+
+def test_walk_expansion_peak_memory():
+    # three tripled lines of the Fano plane at order 9, the multiset with the
+    # most closed walks to count: one determinant per profile keeps no state
+    # between profiles, so the peak stays in kilobytes
     expansion = _WalkExpansion(fano_plane())
     mu = (0, 0, 0, 0, 3, 3, 3)
     tracemalloc.start()
@@ -117,5 +168,4 @@ def test_trail_memo_bytes_per_state():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert expansion.trail_states == 6539
-    assert peak / expansion.trail_states < 200
+    assert peak < 50_000  # bytes; 8.6 KB on CPython 3.11
