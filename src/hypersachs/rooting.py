@@ -9,10 +9,11 @@ vertex of e roots.  One such per-edge root-count assignment stands for
     prod_v q_v! / prod_{e,v} c_e(v)!
 
 distinct rootings (sequences of rooted stars sorted by root), all yielding the
-same digraph.  `assoc_coeff_connected` sums the weight per assignment, reading
-the arborescence count off the out-degree Laplacian of the star union; only
-`euler_orientations` merges assignments into distinct digraphs.  Class weights
-are memoized by canonical code in `_coeff_memo`, through `_class_weight` alone.
+same digraph.  One walk over the edges (`_rooted_unions`) keeps the out-degree
+Laplacian of the star union in place, `assoc_coeff_connected` reads the
+arborescence count off each leaf's, and only `euler_orientations` merges
+assignments into digraphs.  Weights are memoized by canonical code in
+`_coeff_memo`, through `_class_weight` alone.
 
 Aut(H) permutes the assignments and keeps their multiplicities and
 arborescence counts, so for the weight the walk descends, at each edge, into
@@ -70,14 +71,21 @@ def _combo_orbits(m: int, edges, chosen, feasible) -> tuple[list, bool]:
     return orbits, aut > 1
 
 
-def _root_count_assignments(H: MultiHypergraph, symmetric: bool = False):
-    """Yield every per-edge root-count assignment meeting every vertex quota with orbit
-    size 1, or with `symmetric` one per orbit under Aut(H) with its size.  Edge i's counts
-    come in lex order from `_compositions`, bounded by max(0, need_v - left[i][v]) <= c_v <= need_v."""
+def _rooted_unions(H: MultiHypergraph, symmetric: bool = False):
+    """Yield, for each root-count assignment of a connected Veblen hypergraph
+    (or with `symmetric` each Aut(H) orbit, times its size), the rootings it
+    stands for and their star union's out-degree Laplacian, indexed like
+    H.non_isolated and live: read it before the next step.  Edge i's counts come
+    in lex order from `_compositions`, max(0, need_v - left[i][v]) <= c_v <= need_v."""
+    if not is_veblen(H):
+        raise NotVeblen("rootings are defined for Veblen hypergraphs only")
+    if not is_connected(H):
+        raise NotConnected("rootings require a connected hypergraph")
     verts = H.non_isolated
     index = {v: i for i, v in enumerate(verts)}
     deg = H.degrees()
     need = [deg[v] // H.k for v in verts]
+    quota_factorial = prod(map(factorial, need))
     edges = [(tuple(index[v] for v in e), m) for e, m in H.edges]
     # left[i][v]: total copies of edges after i that contain v; vertex v can
     # still meet its quota only while need[v] <= left[i][v]
@@ -85,11 +93,24 @@ def _root_count_assignments(H: MultiHypergraph, symmetric: bool = False):
     for e, m in reversed(edges[1:]):
         left.append([x + m if v in e else x for v, x in enumerate(left[-1])])
     left.reverse()
+    # every rooted copy adds k-1 arcs out of its root: out(v) = (k-1) q_v
+    lap = [[(H.k - 1) * q if v == w else 0 for w in range(len(verts))] for v, q in enumerate(need)]
     chosen: list[tuple[int, ...]] = []
 
-    def rec(i: int, size: int, symmetric: bool):
+    def root(e, combo, sign: int):
+        # sign 1 roots combo[t] copies of e at e[t], each with an arc to every other vertex; -1 undoes it
+        for v, c in zip(e, combo):
+            need[v] -= sign * c
+            for w in e:
+                if w != v:
+                    lap[v][w] -= sign * c
+
+    def rec(i: int, size: int, copies: int, symmetric: bool):
         if i == len(edges):
-            yield tuple(chosen), size
+            count, rem = divmod(quota_factorial, copies)
+            if rem:
+                raise NormalizationFailure(f"rooting multiplicity {quota_factorial}/{copies} is not integral")
+            yield count * size, lap
             return
         (e, m), cap = edges[i], left[i]
         orbits = [(combo, 1) for combo in
@@ -98,45 +119,13 @@ def _root_count_assignments(H: MultiHypergraph, symmetric: bool = False):
             # the groups below are subgroups, so trivial below a trivial one
             orbits, symmetric = _combo_orbits(len(verts), edges, chosen, [c for c, _ in orbits])
         for combo, n in orbits:
-            for v, c in zip(e, combo):
-                need[v] -= c
+            root(e, combo, 1)
             chosen.append(combo)
-            yield from rec(i + 1, size * n, symmetric)
+            yield from rec(i + 1, size * n, copies * prod(map(factorial, combo)), symmetric)
             chosen.pop()
-            for v, c in zip(e, combo):
-                need[v] += c
+            root(e, combo, -1)
 
-    yield from rec(0, 1, symmetric)
-
-
-def _rooted_unions(H: MultiHypergraph, symmetric: bool = False):
-    """For every root-count assignment (or orbit) of a connected Veblen
-    hypergraph, yield the number of rootings it stands for and the out-degree
-    Laplacian of their star union, indexed like H.non_isolated."""
-    if not is_veblen(H):
-        raise NotVeblen("rootings are defined for Veblen hypergraphs only")
-    if not is_connected(H):
-        raise NotConnected("rootings require a connected hypergraph")
-    verts = H.non_isolated
-    index = {v: i for i, v in enumerate(verts)}
-    quota_factorial = prod(factorial(d // H.k) for d in H.degrees().values())
-    edges = [tuple(index[v] for v in e) for e, _ in H.edges]
-    for assignment, size in _root_count_assignments(H, symmetric):
-        lap = [[0] * len(verts) for _ in verts]
-        copies = 1
-        for e, combo in zip(edges, assignment):
-            for root, c in zip(e, combo):
-                if c:
-                    # c copies of e rooted at `root`: c arcs to each other vertex
-                    copies *= factorial(c)
-                    row = lap[root]
-                    for w in e:
-                        row[w] -= c
-                    row[root] += H.k * c
-        count, rem = divmod(quota_factorial, copies)
-        if rem:
-            raise NormalizationFailure(f"rooting multiplicity {quota_factorial}/{copies} is not integral")
-        yield count * size, lap
+    yield from rec(0, 1, 1, symmetric)
 
 
 def euler_orientations(H: MultiHypergraph) -> tuple[EulerOrientation, ...]:

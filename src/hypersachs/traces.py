@@ -22,14 +22,15 @@ multiset c.  W(c) vanishes unless c is balanced, i.e. d_v = deg_mu(v)/k;
 then out(v) = (k-1) d_v, and by the BEST theorem (van Aardenne-Ehrenfest &
 de Bruijn 1951) and the matrix-tree theorem (Tutte 1948) W(c) prod_a c_a! =
 L t(c) prod_v ((k-1) d_v - 1)!, with t(c) one minor of c's out-degree
-Laplacian, computed by the module's own `_det`.
+Laplacian.  One walk over the edges of mu picks their star splits under the
+quotas d_v and keeps that Laplacian in place; the module's own `_det` takes
+each minor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial, inf, prod
 
 from .canon import CanonicalCode, _union_code
@@ -74,9 +75,6 @@ class _WalkExpansion:
 
     def __init__(self, host: MultiHypergraph, budget: float = inf):
         self.k, self.n, self.edges, self.budget = host.k, host.n, host.edges, budget
-        self.arcs = sorted({(v, w) for e, _ in host.edges for v in e for w in e if v != w})
-        # stars[i][j]: the arcs of edge i rooted at its j-th vertex
-        self.stars = [[[self.arcs.index((v, w)) for w in e if w != v] for v in e] for e, _ in host.edges]
 
     def _quotas(self, mu) -> dict[int, int] | None:
         """d_v = deg(v)/k under the edge multiset mu; None if k divides not every degree."""
@@ -87,27 +85,37 @@ class _WalkExpansion:
         return None if any(x % self.k for x in deg.values()) else {v: x // self.k for v, x in deg.items()}
 
     def _profiles(self, mu, quota: dict[int, int]):
-        """(c, den) for each star choice under mu whose arc profile c (aligned
-        with self.arcs) is balanced, with den = prod s[v, e]!."""
-        per_edge = [[split for split in _compositions(m, self.k) if all(s <= quota[v] for v, s in zip(e, split))]
-                    for (e, _), m in zip(self.edges, mu)]
-        for splits in product(*per_edge):
-            counts, rooted, den = [0] * len(self.arcs), dict.fromkeys(quota, 0), 1
-            for (edge, _), stars, split in zip(self.edges, self.stars, splits):
-                for v, arcs, s in zip(edge, stars, split):
-                    rooted[v], den = rooted[v] + s, den * factorial(s)
-                    for a in arcs:
-                        counts[a] += s
-            # in(v) = deg(v) - d_v, so the profile is balanced iff d_v = deg(v)/k
-            if rooted == quota:
-                yield counts, den
+        """(lap, den) per balanced star choice under mu: lap is its arc profile's
+        out-degree Laplacian on the vertices with d_v > 0 in `quota` order, live
+        (read it before the next step), and den = prod s[v, e]!.  The walk over the
+        edges with mu_e > 0 takes splits from the unbounded `_compositions`, skips
+        any that roots more than a vertex still needs, and checks balance at the leaf."""
+        at = {v: i for i, v in enumerate(v for v, q in quota.items() if q)}
+        need = [quota[v] for v in at]
+        lap = [[(self.k - 1) * q if i == j else 0 for j in range(len(at))] for i, q in enumerate(need)]
+        used = [(tuple(at[v] for v in e), m) for (e, _), m in zip(self.edges, mu) if m]
 
-    def _tree_count(self, counts, quota: dict[int, int]) -> int:
-        """t(c), the minor of c's out-degree Laplacian, out(v) = (k-1) d_v, on
-        the vertices with d_v > 0 but the first: the arborescences into that
-        vertex (matrix-tree theorem), 0 iff c is not connected."""
-        rows, arcs = [v for v, q in quota.items() if q][1:], dict(zip(self.arcs, counts))
-        return _det([[(self.k - 1) * quota[v] if v == w else -arcs.get((v, w), 0) for w in rows] for v in rows])
+        def star(e, split, sign: int):
+            # sign 1 roots split[t] stars of e at e[t], each with an arc to every other vertex; -1 undoes it
+            for v, s in zip(e, split):
+                need[v] -= sign * s
+                for w in e:
+                    if w != v:
+                        lap[v][w] -= sign * s
+
+        def rec(i: int, den: int):
+            if i == len(used):
+                if not any(need):  # each v rooted d_v stars, so in(v) = deg(v) - d_v = out(v)
+                    yield lap, den
+                return
+            e, m = used[i]
+            for split in _compositions(m, self.k):
+                if all(s <= need[v] for v, s in zip(e, split)):
+                    star(e, split, 1)
+                    yield from rec(i + 1, den * prod(map(factorial, split)))
+                    star(e, split, -1)
+
+        yield from rec(0, 1)
 
     def edge_multiset_sum(self, mu) -> Fraction:
         """Sum of the star terms whose edge multiset is `mu` (aligned with
@@ -117,7 +125,8 @@ class _WalkExpansion:
         k, quota = self.k, self._quotas(mu)
         if quota is None:
             return Fraction(0)
-        trees = sum((Fraction(self._tree_count(c, quota), den) for c, den in self._profiles(mu, quota)), Fraction(0))
+        # t(c), the minor without the first vertex: the arborescences into it
+        trees = sum(Fraction(_det([row[1:] for row in lap[1:]]), den) for lap, den in self._profiles(mu, quota))
         scale = prod(mult**m for (_, mult), m in zip(self.edges, mu)) * Fraction(k - 1) ** (self.n - 1)
         tours = (k - 1) * sum(mu) * prod(Fraction(factorial(q), (k - 1) * q) for q in quota.values() if q)
         return scale * tours * trees

@@ -43,7 +43,7 @@ from math import comb, factorial, inf
 from operator import itemgetter
 
 from .canon import VERTEX_BOUND, CanonicalCode, _connected_code, _refine, canonical_form
-from .errors import ConsistencyFailure, NormalizationFailure, SizeExceeded
+from .errors import ConsistencyFailure, DomainError, NormalizationFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, component_supports, components, is_connected, require_simple
 from .rooting import _class_weight
 
@@ -91,6 +91,8 @@ def enumerate_connected_veblen(k: int, d: int, with_coeffs: bool = False) -> tup
     fills every order up to d, so a caller that needs several asks for the
     largest first.  Each vertex p > 1 of a representative shares an edge with
     a smaller vertex: it entered the tree with an edge through an old one."""
+    if k < 2:
+        raise DomainError(f"uniformity k must be >= 2, got {k}")
     if d > MAX_FREE_EDGES:
         raise SizeExceeded(f"free enumeration is limited to {MAX_FREE_EDGES} edges, got {d}")
     if d <= 0:

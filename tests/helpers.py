@@ -6,7 +6,7 @@ counting and the exhaustive canonical-labeling search."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
 from hypersachs.canon import canon_and_aut, canonical_form
@@ -286,7 +286,8 @@ def single_edge_profile(v: int, t: int) -> int:
 # realize its out-arcs as a union of edge stars.  The package's walk
 # expansion (`traces._WalkExpansion`, behind `trace_bruteforce`) evaluates
 # the same trace formula grouped by star profile and is checked against it
-# on small hosts; `trail_walk_count` is the reference for its per-profile
+# on small hosts; `star_profiles_by_product` is the reference for its
+# balanced star profiles, and `trail_walk_count` for its per-profile
 # closed-walk count, which it takes from the BEST theorem.  `walk_traces` and
 # `walk_weight` read that expansion, which uses no class weight, enumerator,
 # rooting, digraph or linear algebra, and a connected class G with d edges
@@ -378,6 +379,23 @@ def walk_enumeration_trace(host, d, max_walks=10_000_000):
             factor *= factorial(c)
         total += walk_count * factor
     return Fraction(k - 1) ** (host.n - 1) * total
+
+
+def star_profiles_by_product(host, mu, quota):
+    """({(v, w): count}, den) for every star choice under the edge multiset
+    mu whose arc profile is balanced, den = prod s[v, e]!: the whole product
+    of per-edge star splits, filtered at the end by the roots per vertex."""
+    per_edge = [list(_compositions(m, host.k)) for m in mu]
+    for splits in product(*per_edge):
+        counts, rooted, den = {}, dict.fromkeys(quota, 0), 1
+        for (edge, _), split in zip(host.edges, splits):
+            for v, s in zip(edge, split):
+                rooted[v], den = rooted[v] + s, den * factorial(s)
+                for w in edge:
+                    if w != v and s:
+                        counts[v, w] = counts.get((v, w), 0) + s
+        if rooted == quota:
+            yield counts, den
 
 
 def _trails(arcs, cur, left, memo):

@@ -247,3 +247,21 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     notveblen.write_text("k=3 n=4\n1 2 3\n1 2 4\n")
     assert dispatch(["assoc-coeff", "--input", str(notveblen)]) == 1
     assert "NotVeblen" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["veblen", "count", "--k", "-2", "--d", "3"],
+        ["veblen", "enumerate", "--k", "-1", "--d", "3"],
+        ["atlas-export", "--k", "-3", "--d", "3"],
+        ["veblen", "count", "--k", "1", "--d", "0"],
+        ["veblen", "count", "--k", "0", "--d", "3"],
+    ],
+)
+def test_arity_below_two_is_a_domain_error(argv, capsys):
+    # refused before any enumeration, even of no edges
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert "error: DomainError: uniformity k must be >= 2" in captured.err
+    assert captured.out == ""

@@ -200,13 +200,19 @@ def test_zero_arborescence_count_raises(monkeypatch):
         assoc_coeff_connected(complete_kgraph(3))
 
 
+def scripted_splits(splits):
+    """A stand-in for `_compositions` that hands out one split per call: the
+    walk asks once per edge along a single path, and skips `_combo_orbits`
+    for a single split."""
+    calls = iter(splits)
+    return lambda total, parts, lo=None, hi=None: iter([next(calls)])
+
+
 def test_unbalanced_assignment_raises(monkeypatch):
     # edges 123, 124, 134, 234 rooted at 2, 4, 3, 2: vertex 1 roots nothing
     # but receives three arcs, while 2, 3 and 4 all reach it (tau > 0)
     unbalanced = ((0, 1, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
-    # the walk yields (assignment, orbit size)
-    monkeypatch.setattr(rooting, "_root_count_assignments",
-                        lambda H, symmetric: iter([(unbalanced, 1)]))
+    monkeypatch.setattr(rooting, "_compositions", scripted_splits(unbalanced))
     with pytest.raises(ConsistencyFailure):
         assoc_coeff_connected(complete_kgraph(3))
 
@@ -215,9 +221,7 @@ def test_non_integral_multiplicity_raises(monkeypatch):
     # every quota of the tetrahedron is 1, so prod q_v! = 1 cannot be divided
     # by the 2! of an edge rooted twice at one vertex
     doubled_root = ((2, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
-    # the walk yields (assignment, orbit size)
-    monkeypatch.setattr(rooting, "_root_count_assignments",
-                        lambda H, symmetric: iter([(doubled_root, 1)]))
+    monkeypatch.setattr(rooting, "_compositions", scripted_splits(doubled_root))
     with pytest.raises(NormalizationFailure):
         assoc_coeff_connected(complete_kgraph(3))
 
@@ -243,11 +247,18 @@ def test_orbit_weight_equals_simplex_closed_form(k):
 @pytest.mark.parametrize(
     "H,plain",
     [(complete_kgraph(k), derangements(k + 1)) for k in range(3, 9)]
-    + [(doubled_fano(), 258), (doubled(complete_kgraph(4)), 870)],
+    + [(doubled_fano(), 9144), (doubled(complete_kgraph(4)), 13756)],
 )
 def test_orbit_sizes_sum_to_assignment_count(H, plain):
-    leaves = list(rooting._root_count_assignments(H, symmetric=True))
-    assert sum(size for _, size in leaves) == plain
-    assert len(leaves) < plain
-    if plain < 1000:
-        assert sum(size for _, size in rooting._root_count_assignments(H)) == plain
+    # the symmetric walk's multiplicities, orbit sizes included, sum to the
+    # plain walk's rootings, from fewer leaves than the plain walk's one per
+    # root-count assignment; a simplex's quotas are all 1, so each of its
+    # assignments is one rooting, and those are its derangements
+    leaves = [count for count, _ in rooting._rooted_unions(H, symmetric=True)]
+    assert sum(leaves) == plain
+    if H.k < 7:
+        assignments = [count for count, _ in rooting._rooted_unions(H)]
+        assert sum(assignments) == plain
+        assert len(leaves) < len(assignments)
+    else:  # the plain walk on the 7- and 8-simplex takes about 1 and 9 s
+        assert len(leaves) < plain

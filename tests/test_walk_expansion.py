@@ -18,6 +18,7 @@ from helpers import (
     STAR_HOST,
     all_simple_3graphs,
     newton_coefficients,
+    star_profiles_by_product,
     trail_walk_count,
     walk_enumeration_trace,
     walk_traces,
@@ -93,28 +94,28 @@ def test_certifies_every_catalogued_class_weight():
 
 
 def test_certifies_fano_class_weights_at_depth():
-    # every class the Fano plane realizes at orders 12, 15 and 18 (7 + 11 +
-    # 19), and those on at most 2 support lines at order 21 (4), on its own
-    # support; more lines at 21 multiply the per-edge star splits.  The root-
-    # count walk under `assoc_coeff_connected` is checked here against an
-    # expansion that shares only the unbounded `_compositions` with it (not
-    # `orientation_weight`, which enumerates the same root counts)
+    # every class the Fano plane realizes at orders 12, 15, 18 and 21 (7 + 11
+    # + 19 + 29), on its own support.  The root-count walk under
+    # `assoc_coeff_connected` is checked here against an expansion that
+    # shares only the unbounded `_compositions` with it and checks balance
+    # at its leaves (not `orientation_weight`, which enumerates the same
+    # root counts)
     checked = 0
-    for d, most in [(21, 2), (18, 7), (15, 7), (12, 7)]:
+    for d in (21, 18, 15, 12):
         for record in connected_infragraph_classes(fano_plane(), d):
             G = record.representative
-            if len(G.edges) <= most:
-                assert assoc_coeff_connected(G) == walk_weight(G), (d, G.edges)
-                checked += 1
-    assert checked == 41
+            assert assoc_coeff_connected(G) == walk_weight(G), (d, G.edges)
+            checked += 1
+    assert checked == 66
 
 
 def test_best_count_matches_trail_walk():
     # every distinct balanced profile of K_4^(3), of the Fano plane and of
-    # two disjoint edges to order 6: the closed walks W(c) that the expansion
-    # takes from one Laplacian minor, W(c) prod_a c_a! = L t(c) prod_v
-    # (out(v) - 1)!, equal the reference trail walk's count, and the minor
-    # vanishes exactly on the disconnected profiles
+    # two disjoint edges to order 6: the walk under the quotas yields the
+    # same (profile, den) multiset as the whole product of star splits, and
+    # the closed walks W(c) that the expansion takes from one Laplacian minor,
+    # W(c) prod_a c_a! = L t(c) prod_v (out(v) - 1)!, equal the reference
+    # trail walk's count; the minor vanishes exactly on disconnected profiles
     checked = disconnected = 0
     for host in (complete_kgraph(3), fano_plane(), MultiHypergraph.build(3, 6, [(1, 2, 3), (4, 5, 6)])):
         expansion, k, seen = _WalkExpansion(host), host.k, set()
@@ -122,14 +123,22 @@ def test_best_count_matches_trail_walk():
             for mu in _compositions(d, len(host.edges)):
                 if (quota := expansion._quotas(mu)) is None:
                     continue
-                for counts, _ in expansion._profiles(mu, quota):
-                    if tuple(counts) in seen:
+                rows = [v for v, q in quota.items() if q]
+                walked = []
+                for lap, den in expansion._profiles(mu, quota):
+                    # the arcs v -> w are the negative off-diagonal entries
+                    counts = {(rows[i], rows[j]): -x for i, row in enumerate(lap) for j, x in enumerate(row) if x < 0}
+                    profile = tuple(sorted(counts.items()))
+                    walked.append((profile, den))
+                    if profile in seen:
                         continue
-                    seen.add(tuple(counts))
+                    seen.add(profile)
                     tours = (k - 1) * d * prod(factorial((k - 1) * q - 1) for q in quota.values() if q)
-                    best = F(tours * expansion._tree_count(counts, quota), prod(map(factorial, counts)))
-                    assert best == trail_walk_count(dict(zip(expansion.arcs, counts))), (host.edges, counts)
+                    best = F(tours * _det([row[1:] for row in lap[1:]]), prod(map(factorial, counts.values())))
+                    assert best == trail_walk_count(counts), (host.edges, counts)
                     checked, disconnected = checked + 1, disconnected + (best == 0)
+                want = [(tuple(sorted(c.items())), den) for c, den in star_profiles_by_product(host, mu, quota)]
+                assert sorted(walked) == sorted(want), (host.edges, mu)
     assert (checked, disconnected) == (75, 1)
 
 
