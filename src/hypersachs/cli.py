@@ -290,7 +290,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_atlas_export(args) -> int:
-    sizes = [args.d] if args.d is not None else list(range(1, args.max_codegree + 1))
+    # order 0 lists no class but still refuses an arity below 2
+    sizes = [args.d] if args.d is not None else list(range(args.max_codegree + 1))
     # the largest order first: its free tree fills every smaller one
     blocks = {d: _atlas_lines(args.k, d, with_coeffs=True) for d in reversed(sizes)}
     lines = [line for d in sizes for line in blocks[d]]

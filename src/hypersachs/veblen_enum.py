@@ -211,6 +211,8 @@ def count_all_veblen(k: int, d: int) -> int:
     vertices) with arity k and exactly d edges counted with multiplicity:
     the coefficient of x^d in the product over connected classes C of
     1 / (1 - x^|C|)."""
+    if k < 2:
+        raise DomainError(f"uniformity k must be >= 2, got {k}")
     counts = [1] + [0] * max(d, 0)
     for j in range(d, 0, -1):  # the largest order first: its tree fills the rest
         for _ in enumerate_connected_veblen(k, j):

@@ -1,8 +1,8 @@
 """Builders and the test-only oracles shared across test modules: Euler
 circuits by brute force, power sums by walk enumeration, class weights over
-listed orientations and (at k=2) over closed trails, the simplex recurrence
-and spectrum predictions, the composition scan, labeled counts by injection
-counting and the exhaustive canonical-labeling search."""
+listed orientations and (at k=2) over closed trails, the simplex recurrence,
+cycle-type sum and spectrum predictions, the composition scan, labeled counts
+by injection counting and the exhaustive canonical-labeling search."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +14,6 @@ from hypersachs.digraph import arborescence_count, is_eulerian
 from hypersachs.errors import DomainError, NormalizationFailure, NotConnected, NotEulerian, NotVeblen, SizeExceeded
 from hypersachs.hypergraph import MultiHypergraph, _compositions, components, is_connected, is_veblen
 from hypersachs.rooting import euler_orientations
-from hypersachs.simplex import _cycles_of, cycle_factor
 from hypersachs.traces import _WalkExpansion
 
 
@@ -163,6 +162,63 @@ def graph_assoc_coeff(G):
     return Fraction(q, prod(factorial(m) for _, m in G.edges))
 
 
+def cycle_factor(k: int, length: int) -> int:
+    """Per-cycle arborescence factor k^l + (-1)^{l+1} of a derangement
+    orientation of the simplex."""
+    return k**length + (-1) ** (length + 1)
+
+
+def _cycles_of(sigma: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of a permutation of 1..m, each from its least element."""
+    m = len(sigma)
+    if sorted(sigma) != list(range(1, m + 1)):
+        raise DomainError(f"not a permutation of 1..{m}: {sigma}")
+    seen = [False] * (m + 1)
+    cycles = []
+    for start in range(1, m + 1):
+        if seen[start]:
+            continue
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = sigma[x - 1]
+        cycles.append(cyc)
+    return cycles
+
+
+def partitions_min2(m: int, largest: int | None = None):
+    """The partitions of m with every part >= 2 (the cycle types of the
+    derangements of [m]) as non-increasing tuples with parts at most
+    `largest` (default m), in descending lexicographic order."""
+    if m == 0:
+        yield ()
+    for p in range(min(m, largest or m), 1, -1):
+        if m - p != 1:
+            for tail in partitions_min2(m - p, p):
+                yield (p,) + tail
+
+
+def derangements_by_type(parts: tuple[int, ...]) -> int:
+    """Permutations of [sum(parts)] with cycle type parts:
+    m! / (prod parts * prod over lengths of multiplicity!)."""
+    denom = prod(parts) * prod(factorial(parts.count(p)) for p in set(parts))
+    count, rem = divmod(factorial(sum(parts)), denom)
+    if rem:
+        raise NormalizationFailure(f"{sum(parts)}! is not divisible by the centralizer order {denom}")
+    return count
+
+
+def derangement_cycle_sum_by_type(k: int) -> int:
+    """Oracle for simplex._derangement_cycle_sum as the paper states it: the
+    sum over cycle types of [k+1]'s derangements of count * prod cycle_factor."""
+    return sum(
+        derangements_by_type(parts) * prod(cycle_factor(k, length) for length in parts)
+        for parts in partitions_min2(k + 1)
+    )
+
+
 def derangement_cycle_sum_recurrence(k):
     """Oracle for simplex._derangement_cycle_sum: the sum over derangements
     of [k+1] of prod_cycles cycle_factor, by the O(k^2) exponential-formula
@@ -257,10 +313,10 @@ def predicted_spectrum_MJ(sigma) -> SpectrumPrediction:
     )
 
 
-def simplex_tau_formula(k: int, p) -> int:
+def simplex_tau_formula(k: int, parts: tuple[int, ...]) -> int:
     """Arborescence count of a derangement orientation from its cycle type:
     prod of cycle factors divided by (k+1)^2, checked integral."""
-    value = prod(cycle_factor(k, length) for length in p.parts)
+    value = prod(cycle_factor(k, length) for length in parts)
     tau, rem = divmod(value, (k + 1) ** 2)
     if rem:
         raise NormalizationFailure(f"cycle-factor product {value} is not divisible by (k+1)^2")

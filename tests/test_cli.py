@@ -255,6 +255,7 @@ def test_domain_errors_exit_1(tmp_path, capsys):
         ["veblen", "count", "--k", "-2", "--d", "3"],
         ["veblen", "enumerate", "--k", "-1", "--d", "3"],
         ["atlas-export", "--k", "-3", "--d", "3"],
+        ["atlas-export", "--k", "1", "--max-codegree", "0"],
         ["veblen", "count", "--k", "1", "--d", "0"],
         ["veblen", "count", "--k", "0", "--d", "3"],
     ],

@@ -3,29 +3,25 @@
 import hashlib
 import random
 from fractions import Fraction
-from functools import cache
 
 import pytest
 
-from helpers import derangement_cycle_sum_recurrence, predicted_spectrum_MJ, simplex_tau_formula
-from hypersachs import simplex
-from hypersachs.catalog import complete_kgraph
-from hypersachs.digraph import arborescence_count, is_eulerian
-from hypersachs.errors import DomainError, SizeExceeded
-from hypersachs.linalg import charpoly_int
-from hypersachs.rooting import assoc_coeff_connected
-from hypersachs.simplex import (
-    CONTRIBUTION_CAP,
-    MAX_K,
-    PartitionMin2,
-    _derangement_cycle_sum,
-    _min2_partition_count,
+from helpers import (
+    _cycles_of,
     cycle_factor,
+    derangement_cycle_sum_by_type,
+    derangement_cycle_sum_recurrence,
     derangements_by_type,
     partitions_min2,
-    simplex_Ck,
-    simplex_orientation,
+    predicted_spectrum_MJ,
+    simplex_tau_formula,
 )
+from hypersachs.catalog import complete_kgraph
+from hypersachs.digraph import arborescence_count, is_eulerian
+from hypersachs.errors import DomainError
+from hypersachs.linalg import charpoly_int
+from hypersachs.rooting import assoc_coeff_connected
+from hypersachs.simplex import MAX_K, _derangement_cycle_sum, simplex_Ck, simplex_orientation
 
 CK = {
     2: 2,
@@ -55,28 +51,16 @@ def test_matches_rooting_route_for_the_tetrahedron():
 
 
 def test_partitions_min2():
-    assert {p.parts for p in partitions_min2(7)} == {(7,), (5, 2), (4, 3), (3, 2, 2)}
-    assert {p.parts for p in partitions_min2(4)} == {(4,), (2, 2)}
-    assert [len(partitions_min2(m)) for m in range(2, 11)] == [
+    assert set(partitions_min2(7)) == {(7,), (5, 2), (4, 3), (3, 2, 2)}
+    assert set(partitions_min2(4)) == {(4,), (2, 2)}
+    assert [len(list(partitions_min2(m))) for m in range(2, 11)] == [
         1, 1, 2, 2, 4, 4, 7, 8, 12,
     ]
-    with pytest.raises(DomainError):
-        partitions_min2(-1)
-
-
-def test_partition_validation():
-    with pytest.raises(DomainError):
-        PartitionMin2((1,))
-    with pytest.raises(DomainError):
-        PartitionMin2((2, 3))
-    p = PartitionMin2((3, 2, 2))
-    assert p.m == 7
-    assert p.multiplicities() == {3: 1, 2: 2}
 
 
 def test_derangement_counts_by_cycle_type():
-    assert derangements_by_type(PartitionMin2((2, 2))) == 3
-    assert derangements_by_type(PartitionMin2((4,))) == 6
+    assert derangements_by_type((2, 2)) == 3
+    assert derangements_by_type((4,)) == 6
     for m, total in SUBFACT.items():
         assert sum(derangements_by_type(p) for p in partitions_min2(m)) == total
 
@@ -88,52 +72,9 @@ def test_cycle_factor_values():
     assert cycle_factor(10, 4) == 9999
 
 
-def test_contributions_listed_iff_under_cap():
-    report = simplex_Ck(6)
-    assert report.contributions is not None
-    total = sum(c for _, c in report.contributions)
-    assert total == report.C_k * (6 - 1) * (6 + 1) ** 2
-    assert all(c > 0 for _, c in report.contributions)
-    assert simplex_Ck(30).contributions is not None
-    assert simplex_Ck(33).contributions is None
-
-
-@cache
-def _min2_count(rest: int, cap: int) -> int:
-    """Partitions of rest into parts in 2..cap, counted along the listing's
-    own recursion rather than by the module's DP."""
-    if rest == 0:
-        return 1
-    return sum(_min2_count(rest - p, p) for p in range(min(rest, cap), 1, -1) if rest - p != 1)
-
-
-def test_bounded_cycle_type_count_matches_the_listing():
-    # exact up to the cap, and cap + 1 from the first m past it on, which
-    # is where simplex_Ck stops listing: k = 33 is m = 34
-    for m in range(34):
-        listed = len(partitions_min2(m))
-        assert listed == _min2_count(m, m) <= CONTRIBUTION_CAP, m
-        assert _min2_partition_count(m) == listed, m
-    assert _min2_count(34, 34) == 2167 > CONTRIBUTION_CAP  # p(34) - p(33) = 12310 - 10143
-    with pytest.raises(SizeExceeded):
-        partitions_min2(34)
-    assert all(_min2_partition_count(m) == CONTRIBUTION_CAP + 1 for m in (34, 35, 100, MAX_K + 1))
-
-
-def test_partition_listing_refuses_before_it_starts(monkeypatch):
-    # partitions_min2(401) once ran for minutes and reached 2.4 GB; a listing
-    # that had begun would build a PartitionMin2 first
-    def listed(parts):
-        raise AssertionError(f"listing began with {parts}")
-
-    monkeypatch.setattr(simplex, "PartitionMin2", listed)
-    with pytest.raises(SizeExceeded, match=str(CONTRIBUTION_CAP)):
-        partitions_min2(401)
-
-
 def test_tau_anchors():
-    assert simplex_tau_formula(3, PartitionMin2((4,))) == 5
-    assert simplex_tau_formula(3, PartitionMin2((2, 2))) == 4
+    assert simplex_tau_formula(3, (4,)) == 5
+    assert simplex_tau_formula(3, (2, 2)) == 4
 
 
 def random_derangement(rng, m):
@@ -145,18 +86,7 @@ def random_derangement(rng, m):
 
 
 def cycle_type(sigma):
-    seen = [False] * len(sigma)
-    parts = []
-    for s in range(len(sigma)):
-        if seen[s]:
-            continue
-        ln, x = 0, s
-        while not seen[x]:
-            seen[x] = True
-            ln += 1
-            x = sigma[x] - 1
-        parts.append(ln)
-    return PartitionMin2(tuple(sorted(parts, reverse=True)))
+    return tuple(sorted((len(c) for c in _cycles_of(sigma)), reverse=True))
 
 
 def test_tau_formula_matches_arborescence_count():
@@ -222,6 +152,12 @@ def test_closed_form_matches_recurrence(k):
     assert _derangement_cycle_sum(k) == derangement_cycle_sum_recurrence(k)
 
 
+@pytest.mark.parametrize("k", range(2, 33))
+def test_closed_form_matches_cycle_type_sum(k):
+    # the paper's sum over the cycle types of [k+1]'s derangements (1794 types at k = 32)
+    assert _derangement_cycle_sum(k) == derangement_cycle_sum_by_type(k)
+
+
 def test_max_k_boundary():
     # recorded once from the O(k^2) recurrence (about 23 s); C_k has 5565
     # decimal digits, past the default int-to-str limit, so its hex is hashed
@@ -230,7 +166,6 @@ def test_max_k_boundary():
     assert hashlib.sha256(hex(report.C_k).encode()).hexdigest() == (
         "6598c54f1c5c0dbb690f012b57c4dab6245d0fd861e05e971cbfa45321c07972"
     )
-    assert report.contributions is None
 
 
 def test_domain_bounds():

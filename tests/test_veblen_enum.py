@@ -29,7 +29,7 @@ from hypersachs.catalog import (
 )
 from hypersachs.classical import charpoly_graph
 from hypersachs.cli import dispatch
-from hypersachs.errors import ConsistencyFailure, SizeExceeded
+from hypersachs.errors import ConsistencyFailure, DomainError, SizeExceeded
 from hypersachs.formats import serialize_hypergraph
 from hypersachs.hypergraph import MultiHypergraph, _compositions, is_connected, is_veblen
 from hypersachs.traces import codegree_coefficients, trace_vector
@@ -71,6 +71,9 @@ def test_trivial_and_out_of_range():
     assert enumerate_connected_veblen(3, -2) == ()
     with pytest.raises(SizeExceeded):
         enumerate_connected_veblen(3, MAX_FREE_EDGES + 1)
+    # the arity is checked even where no order is enumerated
+    with pytest.raises(DomainError, match="uniformity k must be >= 2"):
+        count_all_veblen(1, 0)
 
 
 def test_smallest_classes_are_the_expected_ones():
