@@ -7,13 +7,7 @@ Euler orientations and arborescence counts, and assembling traces and
 coefficients in exact rational arithmetic.
 """
 
-from .hypergraph import (
-    MultiHypergraph,
-    components,
-    flatten,
-    is_veblen,
-    veblen_partitions,
-)
+from .hypergraph import MultiHypergraph, components, flatten, is_veblen
 from .canon import AutReport, CanonicalCode, automorphisms, canonical_form
 from .digraph import MultiDigraph, arborescence_count, euler_circuit_count, is_eulerian
 from .rooting import (
@@ -42,15 +36,10 @@ from .classical import (
     ThresholdReport,
     charpoly_graph,
     harary_sachs_coeffs,
-    partition_sum_check,
     threshold_search,
     threshold_single_edge,
 )
-from .formats import (
-    emit_table,
-    parse_document,
-    serialize_hypergraph,
-)
+from .formats import emit_table, parse_document
 
 __version__ = "0.1.0"
 
@@ -59,7 +48,6 @@ __all__ = [
     "flatten",
     "components",
     "is_veblen",
-    "veblen_partitions",
     "CanonicalCode",
     "AutReport",
     "canonical_form",
@@ -88,11 +76,9 @@ __all__ = [
     "ThresholdReport",
     "charpoly_graph",
     "harary_sachs_coeffs",
-    "partition_sum_check",
     "threshold_single_edge",
     "threshold_search",
     "parse_document",
-    "serialize_hypergraph",
     "emit_table",
     "__version__",
 ]

@@ -1,31 +1,25 @@
-"""Ordinary graphs (k=2): exact characteristic polynomial, the edge/cycle
-subgraph expansion of its coefficients, partition sums of class weights, and
-codegree thresholds.
+"""Ordinary graphs (k=2): exact characteristic polynomial and the
+edge/cycle subgraph expansion of its coefficients; codegree thresholds of
+any host.
 
-Everything here is independent of the rooting engine on purpose; the test
-suite plays the two against each other.
+`charpoly_graph`, `elementary_subgraphs` and `harary_sachs_coeffs` are the
+k=2 certificate: they use no part of the rooting engine, the enumerators or
+the trace assembly, and the test suite plays them against those.
+`threshold_search` certifies nothing; it reads the production coefficient
+table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NotConnected, NotVeblen, SizeExceeded
-from .hypergraph import (
-    MultiHypergraph,
-    is_connected,
-    is_veblen,
-    require_simple,
-    veblen_partitions,
-)
+from .errors import DomainError, SizeExceeded
+from .hypergraph import MultiHypergraph, require_simple
 from .linalg import charpoly_int
-from .rooting import assoc_coeff
 from .traces import codegree_coefficients
 
 MAX_CHARPOLY_VERTICES = 12
-MAX_PARTITION_EDGES = 8
 
 
 def _require_graph(G: MultiHypergraph) -> None:
@@ -149,34 +143,6 @@ def harary_sachs_coeffs(G: MultiHypergraph, d: int) -> int:
     return sum(H.sign_weight for H in elementary_subgraphs(G, d))
 
 
-def partition_sum_check(G: MultiHypergraph) -> Fraction:
-    """Signed sum over partitions of G's edge multiset into connected even
-    parts: parts P get weight (-1)^{|P|+1} prod C(part), repeated parts
-    divided out by their count factorial.
-
-    Evaluates to 1 when G is a doubled edge, 2 when G is a simple cycle, and
-    0 for every other connected even multigraph.
-    """
-    _require_graph(G)
-    if not is_veblen(G):
-        raise NotVeblen("partition sum needs every degree even")
-    if not is_connected(G):
-        raise NotConnected("partition sum needs a connected multigraph")
-    if G.edge_count > MAX_PARTITION_EDGES:
-        raise SizeExceeded(f"partition sum bounded at {MAX_PARTITION_EDGES} edge copies")
-    total = Fraction(0)
-    for parts in veblen_partitions(G, parts_connected=True):
-        term = Fraction((-1) ** (len(parts) + 1))
-        seen: dict[MultiHypergraph, int] = {}
-        for part in parts:
-            term *= assoc_coeff(part)
-            seen[part] = seen.get(part, 0) + 1
-        for cnt in seen.values():
-            term /= math.factorial(cnt)
-        total += term
-    return total
-
-
 def threshold_single_edge(v: int) -> int:
     """Largest nonzero codegree for a host that is one edge plus v-3 isolated
     vertices (k=3)."""
@@ -194,8 +160,6 @@ class ThresholdReport:
     a lower bound for the true threshold.
     """
 
-    host: MultiHypergraph
-    vertex_count: int
     dmax: int
     threshold: int | None
     witness: Fraction | None
@@ -220,4 +184,4 @@ def threshold_search(host: MultiHypergraph, dmax: int) -> ThresholdReport:
     threshold = next((d for d in range(dmax, 0, -1) if table.coefficient(d) != 0), None)
     witness = None if threshold is None else table.coefficient(threshold)
     exact = host.k == 3 and len(host.edges) == 1 and threshold == threshold_single_edge(host.n)
-    return ThresholdReport(host, host.n, dmax, threshold, witness, exact)
+    return ThresholdReport(dmax, threshold, witness, exact)

@@ -126,11 +126,18 @@ def _load_host(args) -> tuple[MultiHypergraph, str | None]:
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        path = Path(args.input)
-        if not path.exists():
-            raise UsageError(f"input file {args.input} does not exist")
-        text = path.read_text()
+        try:
+            text = Path(args.input).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read input file {args.input}: {_reason(exc)}") from None
     return parse_document(text)
+
+
+def _reason(exc: OSError | UnicodeDecodeError) -> str:
+    """Why a file could not be read or written, without its path."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not {exc.encoding} text ({exc.reason})"
+    return exc.strerror or str(exc)
 
 
 def _edges_str(H: MultiHypergraph) -> str:
@@ -271,7 +278,7 @@ def _cmd_threshold(args) -> int:
     report = threshold_search(host, args.max_codegree)
     if args.format == "structured":
         obj = {
-            "n": report.vertex_count,
+            "n": host.n,
             "dmax": report.dmax,
             "threshold": report.threshold,
             "witness": None if report.witness is None else rational_str(report.witness),
@@ -282,7 +289,7 @@ def _cmd_threshold(args) -> int:
     if args.format == "csv":
         th = "" if report.threshold is None else report.threshold
         wit = "" if report.witness is None else rational_str(report.witness)
-        print(f"{report.vertex_count},{report.dmax},{th},{wit}")
+        print(f"{host.n},{report.dmax},{th},{wit}")
         return 0
     print(f"host: k={host.k} n={host.n} edges: {_edges_str(host)}")
     print(report.describe())
@@ -299,7 +306,10 @@ def _cmd_atlas_export(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {args.output}: {_reason(exc)}") from None
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Input documents and report serialization.
+"""Input documents and output tables.
 
 Two interchangeable input encodings:
 
@@ -127,26 +127,6 @@ def parse_document(text: str) -> tuple[MultiHypergraph, str | None]:
     if text.lstrip().startswith("{"):
         return _parse_structured(text)
     return _parse_lines(text)
-
-
-def serialize_hypergraph(
-    H: MultiHypergraph, format: str = "line", name: str | None = None
-) -> str:
-    if format == "line":
-        lines = [f"k={H.k} n={H.n}"]
-        for verts, mult in H.edges:
-            suffix = f" x{mult}" if mult != 1 else ""
-            lines.append(" ".join(map(str, verts)) + suffix)
-        return "\n".join(lines) + "\n"
-    if format == "structured":
-        obj: dict = {"k": H.k, "n": H.n}
-        if name is not None:
-            obj["name"] = name
-        obj["edges"] = [
-            {"vertices": list(verts), "mult": mult} for verts, mult in H.edges
-        ]
-        return json.dumps(obj, indent=2) + "\n"
-    raise ValueError(f"unknown serialization format {format!r}")
 
 
 def rational_str(x: Fraction | int) -> str:

@@ -9,10 +9,9 @@ hash and compare deterministically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import DomainError, NotVeblen
+from .errors import DomainError
 
 Edge = tuple[int, ...]
 EdgeMultiset = tuple[tuple[Edge, int], ...]
@@ -89,14 +88,6 @@ class MultiHypergraph:
         """Apply an injective vertex relabeling; vertices outside `mapping` are dropped
         only if no edge touches them."""
         return MultiHypergraph.build(self.k, n, [(tuple(mapping[v] for v in e), m) for e, m in self.edges])
-
-    def with_multiplicities(self, mults: tuple[int, ...]) -> "MultiHypergraph":
-        """Sub-multigraph on the same vertex set given per-edge multiplicities
-        aligned with `self.edges` (zero drops the edge)."""
-        if len(mults) != len(self.edges):
-            raise DomainError(f"{len(mults)} multiplicities for {len(self.edges)} edges")
-        edges = [(e, c) for (e, _), c in zip(self.edges, mults) if c > 0]
-        return MultiHypergraph(self.k, self.n, tuple(edges))
 
 
 def _compositions(total: int, parts: int, lo=None, hi=None):
@@ -179,53 +170,3 @@ def is_connected(H: MultiHypergraph) -> bool:
 def is_veblen(H: MultiHypergraph) -> bool:
     """True iff every positive vertex degree is divisible by k."""
     return all(d % H.k == 0 for d in H.degrees().values())
-
-
-def _veblen_subvectors(H: MultiHypergraph) -> list[tuple[int, ...]]:
-    """All nonzero multiplicity vectors mu <= m(H) (aligned with H.edges)
-    whose sub-multigraph has every degree divisible by k."""
-    combos = itertools.product(*(range(m + 1) for _, m in H.edges))
-    return [c for c in combos if any(c) and is_veblen(H.with_multiplicities(c))]
-
-
-def veblen_partitions(
-    H: MultiHypergraph, parts_connected: bool = False
-) -> tuple[tuple[MultiHypergraph, ...], ...]:
-    """All multisets of Veblen sub-multigraphs whose multiplicities sum to H's.
-
-    Parts live on H's vertex set and need not be vertex-disjoint.  Each
-    partition is reported once, parts in decreasing multiplicity-vector order
-    (largest part first).  With parts_connected=True only connected parts are
-    allowed.
-
-    Precondition: is_veblen(H).
-    """
-    if not is_veblen(H):
-        raise NotVeblen("edge partitions are defined for Veblen hypergraphs only")
-    if not H.edges:
-        return ((),)
-    candidates = _veblen_subvectors(H)
-    if parts_connected:
-        candidates = [
-            c for c in candidates if is_connected(H.with_multiplicities(c))
-        ]
-    candidates.sort(reverse=True)
-    total = tuple(m for _, m in H.edges)
-    results: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(remaining: tuple[int, ...], start: int, chosen: list[tuple[int, ...]]):
-        if not any(remaining):
-            results.append(tuple(chosen))
-            return
-        for i in range(start, len(candidates)):
-            cand = candidates[i]
-            if all(c <= r for c, r in zip(cand, remaining)):
-                chosen.append(cand)
-                rec(tuple(r - c for r, c in zip(remaining, cand)), i, chosen)
-                chosen.pop()
-
-    rec(total, 0, [])
-    return tuple(
-        tuple(H.with_multiplicities(vec) for vec in partition)
-        for partition in results
-    )

@@ -44,7 +44,6 @@ class EulerOrientation:
     """
 
     digraph: MultiDigraph
-    root_counts: tuple[tuple[int, int], ...]
     multiplicity: int
 
 
@@ -138,13 +137,12 @@ def euler_orientations(H: MultiHypergraph) -> tuple[EulerOrientation, ...]:
         key = tuple(((verts[u], verts[w]), -x)
                     for u, row in enumerate(lap) for w, x in enumerate(row) if x < 0)
         by_arcs[key] = by_arcs.get(key, 0) + count
-    root_counts = tuple((v, d // H.k) for v, d in H.degrees().items() if d)
     out = []
     for key in sorted(by_arcs):
         D = MultiDigraph(vertices=verts, arcs=key)
         if not is_eulerian(D):
             raise ConsistencyFailure("rooted star union is not Eulerian")
-        out.append(EulerOrientation(digraph=D, root_counts=root_counts, multiplicity=by_arcs[key]))
+        out.append(EulerOrientation(digraph=D, multiplicity=by_arcs[key]))
     return tuple(out)
 
 

@@ -58,13 +58,12 @@ WORK_BUDGET = 10**9  # walk nodes or injection placements
 @dataclass(frozen=True)
 class IsoClassRecord:
     """One isomorphism class: canonical code, a representative on vertices
-    1..v, its edge count, and optionally its associated coefficient and (for
+    1..v, and optionally its associated coefficient and (for
     host-relative enumeration) the number of multiplicity functions on the
     host realizing the class, or (for free enumeration) |Aut| of the class."""
 
     code: CanonicalCode
     representative: MultiHypergraph
-    edge_count: int
     assoc_coeff: Fraction | None = None
     labeled_count: int | None = None
     aut_count: int | None = None
@@ -77,7 +76,7 @@ def _sorted_records(by_code: dict, with_coeffs: bool, free: bool = False) -> tup
         rep, value = by_code[code]
         count, aut = (None, value) if free else (value, None)
         coeff = _class_weight(code, rep) if with_coeffs else None
-        out.append(IsoClassRecord(code, rep, rep.edge_count, coeff, count, aut))
+        out.append(IsoClassRecord(code, rep, coeff, count, aut))
     return tuple(out)
 
 

@@ -1,9 +1,11 @@
 """Builders and the test-only oracles shared across test modules: Euler
 circuits by brute force, power sums by walk enumeration, class weights over
-listed orientations and (at k=2) over closed trails, the simplex recurrence,
-cycle-type sum and spectrum predictions, the composition scan, labeled counts
-by injection counting and the exhaustive canonical-labeling search."""
+listed orientations and (at k=2) over closed trails, Veblen edge partitions
+and the k=2 alternating partition sum, the simplex recurrence, cycle-type sum
+and spectrum predictions, the composition scan, labeled counts by injection
+counting, the exhaustive canonical-labeling search, and the host writer."""
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -13,7 +15,7 @@ from hypersachs.canon import canon_and_aut, canonical_form
 from hypersachs.digraph import arborescence_count, is_eulerian
 from hypersachs.errors import DomainError, NormalizationFailure, NotConnected, NotEulerian, NotVeblen, SizeExceeded
 from hypersachs.hypergraph import MultiHypergraph, _compositions, components, is_connected, is_veblen
-from hypersachs.rooting import euler_orientations
+from hypersachs.rooting import assoc_coeff, euler_orientations
 from hypersachs.traces import _WalkExpansion
 
 
@@ -60,6 +62,26 @@ def disjoint_union(H1, H2):
     for e, m in H2.edges:
         edges.append((tuple(v + shift for v in e), m))
     return MultiHypergraph.build(H1.k, H1.n + H2.n, edges)
+
+
+def serialize_hypergraph(H, format="line", name=None):
+    """H as a document that `formats.parse_document` reads back: the line
+    format, or the structured one with an optional name."""
+    if format == "line":
+        lines = [f"k={H.k} n={H.n}"]
+        for verts, mult in H.edges:
+            suffix = f" x{mult}" if mult != 1 else ""
+            lines.append(" ".join(map(str, verts)) + suffix)
+        return "\n".join(lines) + "\n"
+    if format == "structured":
+        obj = {"k": H.k, "n": H.n}
+        if name is not None:
+            obj["name"] = name
+        obj["edges"] = [
+            {"vertices": list(verts), "mult": mult} for verts, mult in H.edges
+        ]
+        return json.dumps(obj, indent=2) + "\n"
+    raise ValueError(f"unknown serialization format {format!r}")
 
 
 def euler_circuit_count_bruteforce(D, max_arcs=10):
@@ -160,6 +182,100 @@ def graph_assoc_coeff(G):
     if r:
         raise NormalizationFailure(f"pointed trail count {T} does not split into rotation classes of {L}")
     return Fraction(q, prod(factorial(m) for _, m in G.edges))
+
+
+# ----------------------------------------------------------------------
+# Veblen edge partitions and the alternating partition sum, by which the
+# graph Harary-Sachs theorem is a special case of the main theorem: summed
+# over the partitions of a connected even multigraph into connected even
+# parts, the signed products of class weights are 1 on a doubled edge, 2 on
+# a cycle and 0 on every other class.
+
+MAX_PARTITION_EDGES = 8
+
+
+def with_multiplicities(H, mults):
+    """Sub-multigraph of H on the same vertex set given per-edge multiplicities
+    aligned with `H.edges` (zero drops the edge)."""
+    if len(mults) != len(H.edges):
+        raise DomainError(f"{len(mults)} multiplicities for {len(H.edges)} edges")
+    edges = [(e, c) for (e, _), c in zip(H.edges, mults) if c > 0]
+    return MultiHypergraph(H.k, H.n, tuple(edges))
+
+
+def _veblen_subvectors(H):
+    """All nonzero multiplicity vectors mu <= m(H) (aligned with H.edges)
+    whose sub-multigraph has every degree divisible by k."""
+    combos = product(*(range(m + 1) for _, m in H.edges))
+    return [c for c in combos if any(c) and is_veblen(with_multiplicities(H, c))]
+
+
+def veblen_partitions(H, parts_connected=False):
+    """All multisets of Veblen sub-multigraphs whose multiplicities sum to H's.
+
+    Parts live on H's vertex set and need not be vertex-disjoint.  Each
+    partition is reported once, parts in decreasing multiplicity-vector order
+    (largest part first).  With parts_connected=True only connected parts are
+    allowed.
+
+    Precondition: is_veblen(H).
+    """
+    if not is_veblen(H):
+        raise NotVeblen("edge partitions are defined for Veblen hypergraphs only")
+    if not H.edges:
+        return ((),)
+    candidates = _veblen_subvectors(H)
+    if parts_connected:
+        candidates = [c for c in candidates if is_connected(with_multiplicities(H, c))]
+    candidates.sort(reverse=True)
+    total = tuple(m for _, m in H.edges)
+    results = []
+
+    def rec(remaining, start, chosen):
+        if not any(remaining):
+            results.append(tuple(chosen))
+            return
+        for i in range(start, len(candidates)):
+            cand = candidates[i]
+            if all(c <= r for c, r in zip(cand, remaining)):
+                chosen.append(cand)
+                rec(tuple(r - c for r, c in zip(remaining, cand)), i, chosen)
+                chosen.pop()
+
+    rec(total, 0, [])
+    return tuple(
+        tuple(with_multiplicities(H, vec) for vec in partition)
+        for partition in results
+    )
+
+
+def partition_sum_check(G):
+    """Signed sum over partitions of G's edge multiset into connected even
+    parts: parts P get weight (-1)^{|P|+1} prod C(part), repeated parts
+    divided out by their count factorial.
+
+    Evaluates to 1 when G is a doubled edge, 2 when G is a simple cycle, and
+    0 for every other connected even multigraph.
+    """
+    if G.k != 2:
+        raise DomainError(f"expected an ordinary graph (k=2), got k={G.k}")
+    if not is_veblen(G):
+        raise NotVeblen("partition sum needs every degree even")
+    if not is_connected(G):
+        raise NotConnected("partition sum needs a connected multigraph")
+    if G.edge_count > MAX_PARTITION_EDGES:
+        raise SizeExceeded(f"partition sum bounded at {MAX_PARTITION_EDGES} edge copies")
+    total = Fraction(0)
+    for parts in veblen_partitions(G, parts_connected=True):
+        term = Fraction((-1) ** (len(parts) + 1))
+        seen = {}
+        for part in parts:
+            term *= assoc_coeff(part)
+            seen[part] = seen.get(part, 0) + 1
+        for cnt in seen.values():
+            term /= factorial(cnt)
+        total += term
+    return total
 
 
 def cycle_factor(k: int, length: int) -> int:

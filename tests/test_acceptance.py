@@ -24,8 +24,11 @@ from helpers import (
     exponential_formula_coefficients,
     graph_assoc_coeff,
     newton_coefficients,
+    partition_sum_check,
     random_3graph,
     random_graph,
+    serialize_hypergraph,
+    veblen_partitions,
     walk_traces,
     walk_weight,
 )
@@ -41,12 +44,10 @@ from hypersachs.catalog import (
 from hypersachs.classical import (
     charpoly_graph,
     harary_sachs_coeffs,
-    partition_sum_check,
     threshold_search,
 )
 from hypersachs.cli import dispatch
-from hypersachs.formats import serialize_hypergraph
-from hypersachs.hypergraph import MultiHypergraph, veblen_partitions
+from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.rooting import assoc_coeff, assoc_coeff_connected, euler_orientations
 from hypersachs.simplex import simplex_Ck, simplex_orientation
 from hypersachs.traces import _newton, codegree_coefficients, trace_bruteforce, trace_d
@@ -360,7 +361,7 @@ def test_criterion_6_ordinary_graphs():
     # alternating partition sums: 1 on the doubled edge, 2 on simple cycles,
     # 0 on every other connected class with at most eight edges
     assert partition_sum_check(MultiHypergraph.build(2, 2, [((1, 2), 2)])) == 1
-    for m in range(3, 8):
+    for m in range(3, 9):
         assert partition_sum_check(cycle_graph(m)) == 2, m
     non_cycles = 0
     for d in range(3, 9):

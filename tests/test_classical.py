@@ -1,20 +1,29 @@
 """Ordinary graphs: signed subgraph expansion, trails, vanishing thresholds."""
 
+import inspect
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from helpers import MAX_TRAIL_EDGES, all_labeled_graphs, graph2, graph_assoc_coeff, random_graph, single_edge_profile
+from helpers import (
+    MAX_PARTITION_EDGES,
+    MAX_TRAIL_EDGES,
+    all_labeled_graphs,
+    graph2,
+    graph_assoc_coeff,
+    partition_sum_check,
+    random_graph,
+    single_edge_profile,
+)
+from hypersachs import canon, classical, digraph, linalg, rooting, traces, veblen_enum
 from hypersachs.catalog import cycle_graph, path_graph
 from hypersachs.classical import (
     MAX_CHARPOLY_VERTICES,
-    MAX_PARTITION_EDGES,
     charpoly_graph,
     elementary_subgraphs,
     harary_sachs_coeffs,
-    partition_sum_check,
     threshold_search,
     threshold_single_edge,
 )
@@ -67,6 +76,28 @@ def test_signed_census_reproduces_charpoly_exhaustively():
             poly = charpoly_graph(G)
             for d in range(n + 1):
                 assert harary_sachs_coeffs(G, d) == poly[d]
+
+
+def test_certificate_uses_nothing_it_certifies(monkeypatch):
+    # the k=2 certificate must stay independent of the engine it checks:
+    # every function of canon, veblen_enum, rooting, traces and digraph, and
+    # the determinant in linalg, raises, also where classical binds one
+    rng = random.Random(7)
+    graphs = [G for n in range(5) for G in all_labeled_graphs(n)]
+    graphs += [random_graph(rng, rng.randint(6, 8), 0.5) for _ in range(4)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the k=2 certificate called the engine it certifies")
+
+    modules = {m.__name__: m for m in (canon, veblen_enum, rooting, traces, digraph)}
+    for module in (*modules.values(), classical):
+        for name, value in vars(module).items():
+            if inspect.isfunction(value) and value.__module__ in modules:
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(linalg, "bareiss_det", forbidden)
+    for G in graphs:
+        poly = charpoly_graph(G)
+        assert [harary_sachs_coeffs(G, d) for d in range(G.n + 1)] == list(poly), G.edges
 
 
 def test_census_degree_bound():
@@ -151,7 +182,7 @@ def test_threshold_search_single_edge_hosts():
     e4 = MultiHypergraph.build(3, 4, [(1, 2, 3)])
     rep = threshold_search(e4, 20)
     assert (rep.threshold, rep.witness, rep.exact) == (18, 1, True)
-    assert rep.vertex_count == 4
+    assert rep.threshold == threshold_single_edge(e4.n)
 
 
 def test_threshold_search_misc_hosts():

@@ -168,6 +168,10 @@ def test_threshold_formats(edge_file, capsys):
                      "--max-codegree", "12"]) == 0
     out = capsys.readouterr().out
     assert "threshold exactly 9" in out
+    assert dispatch(["threshold", "--input", edge_file,
+                     "--max-codegree", "12", "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 3, "dmax": 12, "threshold": 9, "witness": "-1", "exact": True}
 
 
 def test_atlas_export_to_file(tmp_path, capsys):
@@ -206,6 +210,27 @@ def test_atlas_export_to_file(tmp_path, capsys):
 def test_usage_errors_exit_2(argv, capsys):
     assert dispatch(argv) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option,name,reason",
+    [
+        ("--input", "absent.txt", "No such file or directory"),
+        ("--input", "", "Is a directory"),
+        ("--input", "latin1.txt", "not utf-8 text"),
+        ("--output", "absent/atlas.tsv", "No such file or directory"),
+    ],
+    ids=["missing", "directory", "bad-bytes", "unwritable-output"],
+)
+def test_unreadable_input_or_unwritable_output_exit_2(option, name, reason, tmp_path, capsys):
+    (tmp_path / "latin1.txt").write_bytes(b"# caf\xe9\nk=3 n=3\n1 2 3\n")
+    target = str(tmp_path / name)
+    command = ["coeffs", "--max-codegree", "3"] if option == "--input" else ["atlas-export", "--k", "3", "--d", "3"]
+    assert dispatch([*command, option, target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: cannot ")
+    assert f"{target}: {reason}" in captured.err
 
 
 def test_dispatch_builds_its_parser_once(edge_file, monkeypatch):

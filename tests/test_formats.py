@@ -5,14 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import serialize_hypergraph
 from hypersachs.catalog import fano_plane, single_edge
 from hypersachs.errors import ArityError, ParseError, VertexRangeError
-from hypersachs.formats import (
-    emit_table,
-    parse_document,
-    rational_str,
-    serialize_hypergraph,
-)
+from hypersachs.formats import emit_table, parse_document, rational_str
 from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.traces import codegree_coefficients
 

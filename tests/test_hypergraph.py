@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import graph2, disjoint_union
+from helpers import disjoint_union, graph2, veblen_partitions, with_multiplicities
 from hypersachs.catalog import (
     complete_kgraph,
     cycle_graph,
@@ -23,7 +23,6 @@ from hypersachs.hypergraph import (
     is_connected,
     is_veblen,
     require_simple,
-    veblen_partitions,
 )
 
 
@@ -75,11 +74,11 @@ def test_relabeled_preserves_degree_multiset():
 
 def test_with_multiplicities_subgraph():
     H = MultiHypergraph.build(3, 4, [((1, 2, 3), 2), (1, 2, 4)])
-    S = H.with_multiplicities((2, 0))
+    S = with_multiplicities(H, (2, 0))
     assert S.edges == (((1, 2, 3), 2),)
     assert S.n == H.n
     with pytest.raises(DomainError):
-        H.with_multiplicities((2,))
+        with_multiplicities(H, (2,))
 
 
 def test_components_split_disjoint_union():

@@ -15,6 +15,8 @@ from helpers import (
     random_3graph,
     random_graph,
     scan_infragraph_classes,
+    serialize_hypergraph,
+    with_multiplicities,
 )
 from hypersachs import rooting, veblen_enum
 from hypersachs.canon import canon_and_aut, canonical_form
@@ -30,7 +32,6 @@ from hypersachs.catalog import (
 from hypersachs.classical import charpoly_graph
 from hypersachs.cli import dispatch
 from hypersachs.errors import ConsistencyFailure, DomainError, SizeExceeded
-from hypersachs.formats import serialize_hypergraph
 from hypersachs.hypergraph import MultiHypergraph, _compositions, is_connected, is_veblen
 from hypersachs.traces import codegree_coefficients, trace_vector
 from hypersachs.veblen_enum import (
@@ -93,7 +94,7 @@ def test_records_are_sorted_canonical_and_connected():
     blobs = [r.code.blob for r in recs]
     assert blobs == sorted(blobs)
     for r in recs:
-        assert r.edge_count == 6
+        assert r.representative.edge_count == 6
         assert r.labeled_count is None
         assert is_connected(r.representative)
         assert is_veblen(r.representative)
@@ -167,7 +168,7 @@ def test_counting_rejects_a_representative_without_smaller_neighbour(monkeypatch
     # backtrack could not anchor it
     G = MultiHypergraph.build(3, 4, [(1, 3, 4), (2, 3, 4)])
     code, aut = canon_and_aut(G)
-    record = IsoClassRecord(code, G, G.edge_count, aut_count=aut)
+    record = IsoClassRecord(code, G, aut_count=aut)
     monkeypatch.setattr(veblen_enum, "enumerate_connected_veblen", lambda k, j: (record,) if j == 2 else ())
     K5 = MultiHypergraph.build(3, 5, combinations(range(1, 6), 3))
     with pytest.raises(ConsistencyFailure, match="no smaller neighbour"):
@@ -333,7 +334,7 @@ def _fano_orbit_counts(top):
     for d in range(1, top + 1):
         least = set()
         for mu in _compositions(d, len(position)):
-            G = fano.with_multiplicities(mu)
+            G = with_multiplicities(fano, mu)
             if is_veblen(G) and is_connected(G):
                 images = []
                 for a in auts:
