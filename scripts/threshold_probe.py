@@ -1,13 +1,14 @@
 """Scan single-edge hosts for their last nonzero codegree.
 
-For a k-uniform edge on v vertices the codegree sequence is the binomial
-expansion of (1 - z^k)^D with D = k * (k-1)^(v-k), so it terminates at
-codegree k^2 * (k-1)^(v-k); this driver confirms the cutoff empirically.
+For a k-uniform edge on v vertices the characteristic polynomial is, up to a
+power of x, (x^k - 1)^D with D = k^(k-2) * (k-1)^(v-k), so the codegree
+sequence terminates at k * D = k^(k-1) * (k-1)^(v-k); this script confirms
+the cutoff empirically.
 """
 
 import argparse
 
-from hypersachs.classical import threshold_search
+from hypersachs.classical import threshold_search, threshold_single_edge
 from hypersachs.hypergraph import MultiHypergraph
 
 
@@ -20,7 +21,7 @@ def main() -> None:
     k = args.k
     for v in range(k, args.max_vertices + 1):
         host = MultiHypergraph.build(k, v, [tuple(range(1, k + 1))])
-        predicted = k * k * (k - 1) ** (v - k)
+        predicted = threshold_single_edge(k, v)
         # search a bit past the prediction so an exact hit is certain
         report = threshold_search(host, predicted + k)
         mark = "ok" if report.threshold == predicted else "UNEXPECTED"

@@ -32,7 +32,6 @@ from .traces import (
 )
 from .simplex import SimplexCoefficientReport, simplex_Ck
 from .classical import (
-    ElementarySubgraph,
     ThresholdReport,
     charpoly_graph,
     harary_sachs_coeffs,
@@ -72,7 +71,6 @@ __all__ = [
     "codegree_coefficients",
     "SimplexCoefficientReport",
     "simplex_Ck",
-    "ElementarySubgraph",
     "ThresholdReport",
     "charpoly_graph",
     "harary_sachs_coeffs",

@@ -27,36 +27,6 @@ def _require_graph(G: MultiHypergraph) -> None:
         raise DomainError(f"expected an ordinary graph (k=2), got k={G.k}")
 
 
-@dataclass(frozen=True)
-class ElementarySubgraph:
-    """A subgraph whose components are single edges or cycles.
-
-    Cycles are stored as vertex tuples in traversal order starting at their
-    smallest vertex, with the smaller neighbor second.
-    """
-
-    edge_components: tuple[tuple[int, int], ...]
-    cycle_components: tuple[tuple[int, ...], ...]
-
-    @property
-    def component_count(self) -> int:
-        return len(self.edge_components) + len(self.cycle_components)
-
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycle_components)
-
-    @property
-    def vertex_count(self) -> int:
-        return 2 * len(self.edge_components) + sum(
-            len(c) for c in self.cycle_components
-        )
-
-    @property
-    def sign_weight(self) -> int:
-        return (-1) ** self.component_count * 2**self.cycle_count
-
-
 def _cycles_of_graph(G: MultiHypergraph) -> list[tuple[int, ...]]:
     """All cycle subgraphs, each listed once.
 
@@ -87,8 +57,10 @@ def _cycles_of_graph(G: MultiHypergraph) -> list[tuple[int, ...]]:
     return cycles
 
 
-def elementary_subgraphs(G: MultiHypergraph, d: int) -> list[ElementarySubgraph]:
-    """All elementary subgraphs of the simple graph G on exactly d vertices."""
+def elementary_subgraphs(G: MultiHypergraph, d: int) -> list[tuple[tuple, tuple]]:
+    """All elementary subgraphs of the simple graph G on exactly d vertices:
+    subgraphs whose components are single edges or cycles, each as a pair
+    (edges, cycles).  A cycle is a vertex tuple listed as in `_cycles_of_graph`."""
     _require_graph(G)
     require_simple(G)
     if d < 0:
@@ -99,13 +71,13 @@ def elementary_subgraphs(G: MultiHypergraph, d: int) -> list[ElementarySubgraph]
     pieces: list[tuple[frozenset[int], int]] = [
         (frozenset(e), i) for i, e in enumerate(edges)
     ] + [(frozenset(c), len(edges) + i) for i, c in enumerate(cycles)]
-    out: list[ElementarySubgraph] = []
+    out: list[tuple[tuple, tuple]] = []
 
     def rec(i: int, used: frozenset[int], chosen: list[int], left: int) -> None:
         if left == 0:
             es = tuple(edges[j] for j in chosen if j < len(edges))
             cs = tuple(cycles[j - len(edges)] for j in chosen if j >= len(edges))
-            out.append(ElementarySubgraph(es, cs))
+            out.append((es, cs))
             return
         for j in range(i, len(pieces)):
             verts, idx = pieces[j]
@@ -140,15 +112,19 @@ def harary_sachs_coeffs(G: MultiHypergraph, d: int) -> int:
     require_simple(G)
     if d > G.n:
         raise DomainError(f"d={d} exceeds the vertex count {G.n}")
-    return sum(H.sign_weight for H in elementary_subgraphs(G, d))
+    return sum((-1) ** (len(es) + len(cs)) * 2 ** len(cs) for es, cs in elementary_subgraphs(G, d))
 
 
-def threshold_single_edge(v: int) -> int:
-    """Largest nonzero codegree for a host that is one edge plus v-3 isolated
-    vertices (k=3)."""
-    if v < 3:
-        raise DomainError("a 3-uniform edge needs at least 3 ambient vertices")
-    return 9 * 2 ** (v - 3)
+def threshold_single_edge(k: int, v: int) -> int:
+    """Largest nonzero codegree for a host that is one k-uniform edge plus v-k
+    isolated vertices: the edge alone has characteristic polynomial
+    (x^k - 1)^(k^(k-2)) up to a power of x, and each isolated vertex raises
+    the polynomial to the power k-1, so the last is k^(k-1) (k-1)^(v-k)."""
+    if k < 2:
+        raise DomainError(f"uniformity k must be >= 2, got {k}")
+    if v < k:
+        raise DomainError(f"a {k}-uniform edge needs at least {k} ambient vertices")
+    return k ** (k - 1) * (k - 1) ** (v - k)
 
 
 @dataclass(frozen=True)
@@ -183,5 +159,5 @@ def threshold_search(host: MultiHypergraph, dmax: int) -> ThresholdReport:
     table = codegree_coefficients(host, dmax)
     threshold = next((d for d in range(dmax, 0, -1) if table.coefficient(d) != 0), None)
     witness = None if threshold is None else table.coefficient(threshold)
-    exact = host.k == 3 and len(host.edges) == 1 and threshold == threshold_single_edge(host.n)
+    exact = len(host.edges) == 1 and threshold == threshold_single_edge(host.k, host.n)
     return ThresholdReport(dmax, threshold, witness, exact)

@@ -296,7 +296,18 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
+def _write_output(path: str, text: str, mode: str = "w") -> None:
+    try:
+        with open(path, mode) as f:
+            f.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {_reason(exc)}") from None
+
+
 def _cmd_atlas_export(args) -> int:
+    if args.output != "-":
+        # refused before the build; appending nothing keeps the old bytes if the build fails
+        _write_output(args.output, "", mode="a")
     # order 0 lists no class but still refuses an arity below 2
     sizes = [args.d] if args.d is not None else list(range(args.max_codegree + 1))
     # the largest order first: its free tree fills every smaller one
@@ -306,10 +317,7 @@ def _cmd_atlas_export(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write output file {args.output}: {_reason(exc)}") from None
+        _write_output(args.output, text)
     return 0
 
 

@@ -44,10 +44,6 @@ class MultiDigraph:
             acc[(u, v)] = acc.get((u, v), 0) + mult
         return cls(vertices=vset, arcs=tuple(sorted(acc.items())))
 
-    @property
-    def arc_count(self) -> int:
-        return sum(m for _, m in self.arcs)
-
     def out_degrees(self) -> dict[int, int]:
         deg = {v: 0 for v in self.vertices}
         for (u, _), m in self.arcs:

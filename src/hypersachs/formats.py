@@ -84,6 +84,11 @@ def _parse_lines(text: str) -> tuple[MultiHypergraph, None]:
     return MultiHypergraph.build(header[0], header[1], records), None
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; bool subclasses int, so true and false are not."""
+    return type(x) is int
+
+
 def _parse_structured(text: str) -> tuple[MultiHypergraph, str | None]:
     try:
         obj = json.loads(text)
@@ -98,7 +103,7 @@ def _parse_structured(text: str) -> tuple[MultiHypergraph, str | None]:
         if field not in obj:
             raise ParseError(f"missing field {field!r}", None)
     k, n = obj["k"], obj["n"]
-    if not isinstance(k, int) or not isinstance(n, int) or k < 2 or n < 0:
+    if not _is_int(k) or not _is_int(n) or k < 2 or n < 0:
         raise ParseError("k and n must be integers (k >= 2, n >= 0)", None)
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
@@ -111,11 +116,9 @@ def _parse_structured(text: str) -> tuple[MultiHypergraph, str | None]:
             raise ParseError(f"edge record {i} needs a vertices field", None)
         verts_raw = rec["vertices"]
         mult = rec.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if not _is_int(mult) or mult < 1:
             raise ParseError(f"edge record {i}: mult must be a positive integer", None)
-        if not isinstance(verts_raw, list) or not all(
-            isinstance(v, int) for v in verts_raw
-        ):
+        if not isinstance(verts_raw, list) or not all(map(_is_int, verts_raw)):
             raise ParseError(f"edge record {i}: vertices must be integers", None)
         records.append((_checked_edge(verts_raw, k, n, None, f"edge record {i}: "), mult))
     return MultiHypergraph.build(k, n, records), name

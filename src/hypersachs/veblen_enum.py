@@ -21,12 +21,13 @@ a host edge; vertex 1 goes on one host vertex per orbit, each injection
 counting the orbit's size, and a class keeps the image of its first
 embedding.  Counting runs first when its free tree, ATLAS_S *
 ATLAS_GROWTH^((k-1)(d-k)) seconds or 0 once stored, is estimated cheaper
-than the walk's WALK_S per vector of the bound C(d+E-1, E-1) on E host
-edges by one placement at INJECTION_S or more; that difference is its
-budget, past which the walk fills the tables.  Orders below k or above
-MAX_FREE_EDGES take the walk.  Past WORK_BUDGET walk nodes or placements a
-route raises SizeExceeded with an estimate in seconds.  The constants fit
-single runs on Python 3.11 and 2 CPUs; README has the table.
+than the walk's WALK_S (GRAPH_WALK_S at k=2) per vector of the bound
+C(d+E-1, E-1) on E host edges by one placement at INJECTION_S or more;
+that difference is its budget, past which the walk fills the tables.
+Orders below k or above MAX_FREE_EDGES take the walk.  Past WORK_BUDGET
+walk nodes or placements a route raises SizeExceeded with an estimate in
+seconds.  The constants fit single runs on Python 3.11 and 2 CPUs; README
+has the table.
 
 Occurrence counts of disconnected graphs in a host factor over components,
 divided by the symmetry of repeated components, so they can be non-integral.
@@ -51,6 +52,7 @@ MAX_FREE_EDGES = 9
 
 # the host-table route estimate, in seconds (module docstring)
 WALK_S = INJECTION_S = 3e-6
+GRAPH_WALK_S = 6e-6  # the walk on ordinary graphs costs more per bound vector
 ATLAS_S, ATLAS_GROWTH = 2.5e-4, 2.2
 WORK_BUDGET = 10**9  # walk nodes or injection placements
 
@@ -345,7 +347,7 @@ def _edge_permutations(edges: list, gens: list) -> list[tuple[int, ...]]:
 def _route_costs(k: int, edges: int, d: int) -> tuple[float, float]:
     """Estimated seconds of the walk to order d on a host with `edges` edges of
     arity k, and of the free tree counting needs, inf if it cannot count."""
-    walk = WALK_S * comb(d + edges - 1, d)
+    walk = (GRAPH_WALK_S if k == 2 else WALK_S) * comb(d + edges - 1, d)
     if not k <= d <= MAX_FREE_EDGES:
         return walk, inf
     # one free tree to d fills every order, so (k, d) stored means all are

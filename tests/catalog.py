@@ -1,4 +1,4 @@
-"""Reference hypergraphs used by tests, scripts, and the CLI examples.
+"""Reference hypergraphs used by the tests.
 
 The v{d}_{i} instances are connected Veblen 3-graphs with d edges, indexed
 within each edge count; their associated coefficients are pinned in the test
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .hypergraph import MultiHypergraph
+from hypersachs.hypergraph import MultiHypergraph
 
 
 def single_edge(k: int = 3, mult: int = 1, n: int | None = None) -> MultiHypergraph:

@@ -89,7 +89,7 @@ def euler_circuit_count_bruteforce(D, max_arcs=10):
     and divide by the tour length to collapse rotations."""
     if not is_eulerian(D):
         raise NotEulerian("Euler circuit count requires a balanced, connected digraph")
-    total_arcs = D.arc_count
+    total_arcs = sum(m for _, m in D.arcs)
     if total_arcs > max_arcs:
         raise SizeExceeded(f"brute-force circuit count limited to {max_arcs} arcs")
     support = D.non_isolated

@@ -18,6 +18,15 @@ from pathlib import Path
 import pytest
 
 import hypersachs
+from catalog import (
+    REFERENCE_VEBLEN,
+    complete_kgraph,
+    cycle_graph,
+    fano_minus_one,
+    fano_minus_two,
+    fano_plane,
+    unsplittable_veblen,
+)
 from helpers import (
     all_labeled_graphs,
     all_simple_3graphs,
@@ -31,15 +40,6 @@ from helpers import (
     veblen_partitions,
     walk_traces,
     walk_weight,
-)
-from hypersachs.catalog import (
-    REFERENCE_VEBLEN,
-    complete_kgraph,
-    cycle_graph,
-    fano_minus_one,
-    fano_minus_two,
-    fano_plane,
-    unsplittable_veblen,
 )
 from hypersachs.classical import (
     charpoly_graph,

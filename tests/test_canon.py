@@ -8,6 +8,14 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catalog import (
+    REFERENCE_VEBLEN,
+    complete_kgraph,
+    cycle_graph,
+    fano_plane,
+    path_graph,
+    single_edge,
+)
 from helpers import ORACLE_VERTICES, disjoint_union, graph2, oracle_canon, oracle_orbits
 from hypersachs.canon import (
     VERTEX_BOUND,
@@ -16,14 +24,6 @@ from hypersachs.canon import (
     canon_and_aut,
     canonical_form,
     clear_caches,
-)
-from hypersachs.catalog import (
-    REFERENCE_VEBLEN,
-    complete_kgraph,
-    cycle_graph,
-    fano_plane,
-    path_graph,
-    single_edge,
 )
 from hypersachs.errors import SizeExceeded
 from hypersachs.hypergraph import MultiHypergraph

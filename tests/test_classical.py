@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from catalog import cycle_graph, path_graph
 from helpers import (
     MAX_PARTITION_EDGES,
     MAX_TRAIL_EDGES,
@@ -18,7 +19,6 @@ from helpers import (
     single_edge_profile,
 )
 from hypersachs import canon, classical, digraph, linalg, rooting, traces, veblen_enum
-from hypersachs.catalog import cycle_graph, path_graph
 from hypersachs.classical import (
     MAX_CHARPOLY_VERTICES,
     charpoly_graph,
@@ -60,13 +60,9 @@ def test_charpoly_requires_simple_graph():
 
 def test_elementary_subgraph_census_of_triangle():
     tri = cycle_graph(3)
-    singles = elementary_subgraphs(tri, 2)
-    assert len(singles) == 3
-    assert all(s.sign_weight == -1 and s.cycle_count == 0 for s in singles)
-    cycles = elementary_subgraphs(tri, 3)
-    assert len(cycles) == 1
-    assert cycles[0].sign_weight == -2
-    assert cycles[0].vertex_count == 3
+    assert elementary_subgraphs(tri, 2) == [(((1, 2),), ()), (((1, 3),), ()), (((2, 3),), ())]
+    assert elementary_subgraphs(tri, 3) == [((), ((1, 2, 3),))]
+    assert harary_sachs_coeffs(tri, 2) == -3 and harary_sachs_coeffs(tri, 3) == -2
     assert elementary_subgraphs(path_graph(3), 3) == []
 
 
@@ -154,11 +150,13 @@ def test_partition_sum_edge_cap():
 def test_single_edge_profile_closed_form():
     for v in (3, 4, 5):
         D = 3 * 2 ** (v - 3)
-        assert threshold_single_edge(v) == 3 * D
+        assert threshold_single_edge(3, v) == 3 * D
         for t in range(D + 2):
             assert single_edge_profile(v, t) == (-1) ** t * comb(D, t)
     with pytest.raises(DomainError):
-        threshold_single_edge(2)
+        threshold_single_edge(3, 2)
+    with pytest.raises(DomainError):
+        threshold_single_edge(1, 3)
 
 
 def test_profile_doubling_convolution():
@@ -182,7 +180,21 @@ def test_threshold_search_single_edge_hosts():
     e4 = MultiHypergraph.build(3, 4, [(1, 2, 3)])
     rep = threshold_search(e4, 20)
     assert (rep.threshold, rep.witness, rep.exact) == (18, 1, True)
-    assert rep.threshold == threshold_single_edge(e4.n)
+    assert rep.threshold == threshold_single_edge(e4.k, e4.n)
+
+
+@pytest.mark.parametrize(
+    "k, v, last", [(2, 2, 2), (2, 5, 2), (3, 3, 9), (3, 5, 36), (4, 4, 64), (4, 5, 192), (5, 5, 625)]
+)
+def test_threshold_single_edge_any_arity(k, v, last):
+    # (x^k - 1)^(k^(k-2)) for the edge, raised to k-1 per isolated vertex
+    assert threshold_single_edge(k, v) == last
+    host = MultiHypergraph.build(k, v, [tuple(range(1, k + 1))])
+    rep = threshold_search(host, last + k)
+    assert (rep.threshold, rep.exact) == (last, True)
+    assert rep.describe().startswith(f"threshold exactly {last} ")
+    # a bound short of the last codegree finds a lower bound only
+    assert not threshold_search(host, last - 1).exact
 
 
 def test_threshold_search_misc_hosts():

@@ -184,6 +184,26 @@ def test_atlas_export_to_file(tmp_path, capsys):
     assert lines[0].split("\t")[3] == "27/16"
 
 
+def test_atlas_export_refuses_unwritable_output_before_building(tmp_path, monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("built an atlas for an unwritable output")
+
+    monkeypatch.setattr(cli, "enumerate_connected_veblen", build)
+    target = str(tmp_path / "missing" / "x.tsv")
+    assert dispatch(["atlas-export", "--k", "3", "--max-codegree", "5", "--output", target]) == 2
+    assert f"cannot write output file {target}: No such file or directory" in capsys.readouterr().err
+
+
+def test_atlas_export_keeps_existing_output_until_the_build_succeeds(tmp_path, capsys):
+    target = tmp_path / "atlas.tsv"
+    target.write_bytes(b"old\tbytes\n")
+    assert dispatch(["atlas-export", "--k", "1", "--max-codegree", "2", "--output", str(target)]) == 1
+    assert target.read_bytes() == b"old\tbytes\n"
+    # a build that succeeds replaces the old bytes rather than adding to them
+    assert dispatch(["atlas-export", "--k", "3", "--d", "5", "--output", str(target)]) == 0
+    assert [line.split("\t")[1] for line in target.read_text().splitlines()] == ["5", "5"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from catalog import fano_plane, single_edge
 from helpers import serialize_hypergraph
-from hypersachs.catalog import fano_plane, single_edge
 from hypersachs.errors import ArityError, ParseError, VertexRangeError
 from hypersachs.formats import emit_table, parse_document, rational_str
 from hypersachs.hypergraph import MultiHypergraph
@@ -91,6 +91,22 @@ def test_parse_structured():
 def test_structured_rejects(obj, err):
     with pytest.raises(err):
         parse_document(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"k":3,"n":3,"edges":[{"vertices":[true,2,3]}]}', "edge record 0: vertices must be integers"),
+        ('{"k":3,"n":3,"edges":[{"vertices":[1,2,3],"mult":true}]}', "edge record 0: mult must be a positive integer"),
+        ('{"k":3,"n":true,"edges":[]}', "k and n must be integers"),
+        ('{"k":true,"n":3,"edges":[]}', "k and n must be integers"),
+    ],
+    ids=["vertex", "mult", "n", "k"],
+)
+def test_structured_rejects_booleans_as_integers(text, message):
+    # JSON true is a Python bool, which subclasses int
+    with pytest.raises(ParseError, match=message):
+        parse_document(text)
 
 
 def test_structured_bad_json_positions():

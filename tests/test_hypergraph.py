@@ -5,14 +5,14 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import disjoint_union, graph2, veblen_partitions, with_multiplicities
-from hypersachs.catalog import (
+from catalog import (
     complete_kgraph,
     cycle_graph,
     fano_plane,
     single_edge,
     unsplittable_veblen,
 )
+from helpers import disjoint_union, graph2, veblen_partitions, with_multiplicities
 from hypersachs.errors import DomainError, NotVeblen
 from hypersachs.hypergraph import (
     MultiHypergraph,

@@ -9,15 +9,15 @@ from math import comb
 import pytest
 
 import helpers
-from helpers import STAR_HOST, walk_enumeration_trace
-from hypersachs import canon, digraph, linalg, rooting, traces, veblen_enum
-from hypersachs.catalog import (
+from catalog import (
     complete_kgraph,
     cycle_graph,
     fano_plane,
     path_graph,
     single_edge,
 )
+from helpers import STAR_HOST, walk_enumeration_trace
+from hypersachs import canon, digraph, linalg, rooting, traces, veblen_enum
 from hypersachs.canon import canonical_form
 from hypersachs.errors import ConsistencyFailure, DomainError, NormalizationFailure, SizeExceeded
 from hypersachs.hypergraph import MultiHypergraph

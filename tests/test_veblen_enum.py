@@ -8,6 +8,15 @@ from math import perm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catalog import (
+    FANO_LINES,
+    REFERENCE_VEBLEN,
+    complete_kgraph,
+    fano_minus_two,
+    fano_plane,
+    single_edge,
+    unsplittable_veblen,
+)
 from helpers import (
     free_classes_by_dedup,
     labeled_counts_by_injection,
@@ -20,15 +29,6 @@ from helpers import (
 )
 from hypersachs import rooting, veblen_enum
 from hypersachs.canon import canon_and_aut, canonical_form
-from hypersachs.catalog import (
-    FANO_LINES,
-    REFERENCE_VEBLEN,
-    complete_kgraph,
-    fano_minus_two,
-    fano_plane,
-    single_edge,
-    unsplittable_veblen,
-)
 from hypersachs.classical import charpoly_graph
 from hypersachs.cli import dispatch
 from hypersachs.errors import ConsistencyFailure, DomainError, SizeExceeded
@@ -593,6 +593,16 @@ def test_route_choice_on_benchmark_hosts(monkeypatch):
     with pytest.raises(SizeExceeded, match=r"injection count to order 9 over its budget; estimate over .* s"):
         _fill(fano_plane(), 9, log)
     assert log == [("count", 9, "over budget")]
+
+
+def test_graph_counts_within_the_walks_cost_with_a_cold_tree(monkeypatch):
+    # the k=2 walk's estimate leaves counting room for the free tree to 7 and
+    # the 3,309 placements this 9-edge graph needs
+    log = _spy_routes(monkeypatch)
+    host = MultiHypergraph.build(2, 7, [(1, 2), (1, 5), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 6), (5, 7)])
+    veblen_enum.clear_caches()
+    assert _fill(host, 7, log) == [("count", 7, "filled")]
+    _assert_counted_tables(host, veblen_enum._infra_memo[host], _walked(host, 7))
 
 
 def test_one_generator_search_per_table_fill(monkeypatch):

@@ -14,6 +14,14 @@ from math import factorial, prod
 
 import pytest
 
+from catalog import (
+    REFERENCE_VEBLEN,
+    complete_kgraph,
+    cycle_graph,
+    fano_plane,
+    path_graph,
+    single_edge,
+)
 from helpers import (
     STAR_HOST,
     all_simple_3graphs,
@@ -23,14 +31,6 @@ from helpers import (
     walk_enumeration_trace,
     walk_traces,
     walk_weight,
-)
-from hypersachs.catalog import (
-    REFERENCE_VEBLEN,
-    complete_kgraph,
-    cycle_graph,
-    fano_plane,
-    path_graph,
-    single_edge,
 )
 from hypersachs.classical import charpoly_graph
 from hypersachs.hypergraph import MultiHypergraph, _compositions
