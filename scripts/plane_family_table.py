@@ -23,16 +23,16 @@ def main() -> None:
     columns = []
     for label, host in hosts:
         t0 = time.monotonic()
-        table = codegree_coefficients(host, args.max_codegree)
-        columns.append((label, table, time.monotonic() - t0))
+        coefficients, _ = codegree_coefficients(host, args.max_codegree)
+        columns.append((label, coefficients, time.monotonic() - t0))
 
-    width = max(len(str(c)) for _, t, _ in columns for c in t.coefficients) + 2
+    width = max(len(str(c)) for _, cs, _ in columns for c in cs) + 2
     header = "d".rjust(4) + "".join(lb.rjust(width) for lb, _, _ in columns)
     print(header)
     for d in range(args.max_codegree + 1):
         row = str(d).rjust(4)
-        for _, table, _ in columns:
-            row += str(table.coefficient(d)).rjust(width)
+        for _, coefficients, _ in columns:
+            row += str(coefficients[d]).rjust(width)
         print(row)
     for label, _, dt in columns:
         print(f"# {label}: {dt:.2f}s")

@@ -7,7 +7,7 @@ leading-order growth estimate.
 import argparse
 
 from hypersachs.formats import rational_str
-from hypersachs.simplex import simplex_Ck
+from hypersachs.simplex import asymptotic_ratio, simplex_Ck
 
 
 def main() -> None:
@@ -17,10 +17,10 @@ def main() -> None:
     args = ap.parse_args()
 
     for k in range(args.min_k, args.max_k + 1):
-        rep = simplex_Ck(k)
-        text = rational_str(rep.C_k)
+        C_k = simplex_Ck(k)
+        text = rational_str(C_k)
         print(f"k={k:<4d} C_k = {text}  ({len(text)} digits, "
-              f"ratio {rep.asymptotic_ratio})")
+              f"ratio {asymptotic_ratio(k, C_k)})")
 
 
 if __name__ == "__main__":

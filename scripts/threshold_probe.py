@@ -23,9 +23,9 @@ def main() -> None:
         host = MultiHypergraph.build(k, v, [tuple(range(1, k + 1))])
         predicted = threshold_single_edge(k, v)
         # search a bit past the prediction so an exact hit is certain
-        report = threshold_search(host, predicted + k)
-        mark = "ok" if report.threshold == predicted else "UNEXPECTED"
-        print(f"v={v:<3d} predicted={predicted:<6d} {report.describe()}  [{mark}]")
+        threshold, witness, exact = threshold_search(host, predicted + k)
+        mark = "ok" if threshold == predicted else "UNEXPECTED"
+        print(f"v={v:<3d} predicted={predicted:<6d} threshold={threshold} c={witness} exact={exact}  [{mark}]")
 
 
 if __name__ == "__main__":

@@ -2,20 +2,16 @@
 
 Computes the coefficients of the adjacency characteristic polynomial of a
 k-uniform hypergraph through the Veblen-hypergraph expansion: enumerating
-Veblen infragraphs of a host, evaluating their associated coefficients from
-Euler orientations and arborescence counts, and assembling traces and
-coefficients in exact rational arithmetic.
+Veblen infragraphs of a host, evaluating their associated coefficients as
+sums of arborescence counts, one Laplacian minor per root-count assignment of
+the edges, and assembling traces and coefficients in exact rational
+arithmetic.
 """
 
 from .hypergraph import MultiHypergraph, components, flatten, is_veblen
 from .canon import AutReport, CanonicalCode, automorphisms, canonical_form
 from .digraph import MultiDigraph, arborescence_count, euler_circuit_count, is_eulerian
-from .rooting import (
-    EulerOrientation,
-    assoc_coeff,
-    assoc_coeff_connected,
-    euler_orientations,
-)
+from .rooting import assoc_coeff, assoc_coeff_connected, euler_orientations
 from .veblen_enum import (
     IsoClassRecord,
     connected_infragraph_classes,
@@ -24,15 +20,13 @@ from .veblen_enum import (
     enumerate_connected_veblen,
 )
 from .traces import (
-    CoefficientTable,
     codegree_coefficients,
     trace_bruteforce,
     trace_d,
     trace_vector,
 )
-from .simplex import SimplexCoefficientReport, simplex_Ck
+from .simplex import simplex_Ck
 from .classical import (
-    ThresholdReport,
     charpoly_graph,
     harary_sachs_coeffs,
     threshold_search,
@@ -55,7 +49,6 @@ __all__ = [
     "is_eulerian",
     "arborescence_count",
     "euler_circuit_count",
-    "EulerOrientation",
     "euler_orientations",
     "assoc_coeff",
     "assoc_coeff_connected",
@@ -64,14 +57,11 @@ __all__ = [
     "count_all_veblen",
     "connected_infragraph_classes",
     "count_infragraph",
-    "CoefficientTable",
     "trace_d",
     "trace_vector",
     "trace_bruteforce",
     "codegree_coefficients",
-    "SimplexCoefficientReport",
     "simplex_Ck",
-    "ThresholdReport",
     "charpoly_graph",
     "harary_sachs_coeffs",
     "threshold_single_edge",

@@ -11,7 +11,6 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SizeExceeded
@@ -20,6 +19,9 @@ from .linalg import charpoly_int
 from .traces import codegree_coefficients
 
 MAX_CHARPOLY_VERTICES = 12
+# bounds of one elementary-subgraph census: steps of its cycle listing (0.2 to
+# 3 µs each) and piece checks of its selection (about 60 ns each)
+MAX_CYCLE_STEPS, MAX_CENSUS_CHECKS = 10**6, 10**9
 
 
 def _require_graph(G: MultiHypergraph) -> None:
@@ -27,25 +29,39 @@ def _require_graph(G: MultiHypergraph) -> None:
         raise DomainError(f"expected an ordinary graph (k=2), got k={G.k}")
 
 
-def _cycles_of_graph(G: MultiHypergraph) -> list[tuple[int, ...]]:
-    """All cycle subgraphs, each listed once.
+def _cycles_of_graph(G: MultiHypergraph, d: int) -> list[tuple[int, ...]]:
+    """The cycle subgraphs on at most d vertices, each listed once.
 
     Canonical listing: start at the cycle's smallest vertex, go toward the
-    smaller of its two cycle neighbors.
+    smaller of its two cycle neighbors.  The listing stops with SizeExceeded
+    after MAX_CYCLE_STEPS path steps, or once the pieces it has found cost
+    the selection in `elementary_subgraphs` more than MAX_CENSUS_CHECKS: the
+    selection scans every piece after each piece on fewer than d vertices, so
+    s such pieces cost it at least s(s-1)/2 checks.
     """
     adj: dict[int, set[int]] = {}
     for (u, v), _ in G.edges:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     cycles: list[tuple[int, ...]] = []
+    steps, small = 0, len(G.edges) if d > 2 else 0
 
     def extend(start: int, path: list[int], on_path: set[int]) -> None:
+        nonlocal steps, small
         cur = path[-1]
         for w in sorted(adj[cur]):
             if w == start and len(path) >= 3:
                 if path[1] < path[-1]:
                     cycles.append(tuple(path))
-            elif w > start and w not in on_path:
+                    small += len(path) < d
+            elif w > start and w not in on_path and len(path) < d:
+                steps += 1
+                if steps > MAX_CYCLE_STEPS:
+                    raise SizeExceeded(f"cycles on at most {d} vertices: more than {MAX_CYCLE_STEPS:.3g} path steps")
+                if small * (small - 1) // 2 > MAX_CENSUS_CHECKS:
+                    raise SizeExceeded(f"elementary subgraphs on {d} vertices: {small} pieces on fewer vertices, "
+                                       f"at least {small * (small - 1) // 2:.3g} piece checks, "
+                                       f"bound {MAX_CENSUS_CHECKS:.3g}")
                 path.append(w)
                 on_path.add(w)
                 extend(start, path, on_path)
@@ -60,17 +76,30 @@ def _cycles_of_graph(G: MultiHypergraph) -> list[tuple[int, ...]]:
 def elementary_subgraphs(G: MultiHypergraph, d: int) -> list[tuple[tuple, tuple]]:
     """All elementary subgraphs of the simple graph G on exactly d vertices:
     subgraphs whose components are single edges or cycles, each as a pair
-    (edges, cycles).  A cycle is a vertex tuple listed as in `_cycles_of_graph`."""
+    (edges, cycles).  A cycle is a vertex tuple listed as in `_cycles_of_graph`.
+    A selection that may take more than MAX_CENSUS_CHECKS piece checks
+    raises SizeExceeded before it starts."""
     _require_graph(G)
     require_simple(G)
     if d < 0:
         raise DomainError("vertex count must be nonnegative")
     edges = [e for e, _ in G.edges]
-    cycles = _cycles_of_graph(G)
+    cycles = _cycles_of_graph(G, d)
     # pieces in a fixed order; a subgraph is an increasing piece selection
     pieces: list[tuple[frozenset[int], int]] = [
         (frozenset(e), i) for i, e in enumerate(edges)
     ] + [(frozenset(c), len(edges) + i) for i, c in enumerate(cycles)]
+    # the selection scans the pieces once at each partial selection of fewer
+    # than d vertices; sets[t] counts the piece sets on t vertices, overlapping
+    # or not, so it bounds those from above
+    sets = [1] + [0] * d
+    for verts, _ in pieces:
+        for t in range(d, len(verts) - 1, -1):
+            sets[t] += sets[t - len(verts)]
+    work = len(pieces) * sum(sets[:d])
+    if work > MAX_CENSUS_CHECKS:
+        raise SizeExceeded(f"elementary subgraphs on {d} vertices: up to {work:.3g} piece checks, "
+                           f"bound {MAX_CENSUS_CHECKS:.3g}")
     out: list[tuple[tuple, tuple]] = []
 
     def rec(i: int, used: frozenset[int], chosen: list[int], left: int) -> None:
@@ -127,37 +156,16 @@ def threshold_single_edge(k: int, v: int) -> int:
     return k ** (k - 1) * (k - 1) ** (v - k)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Largest codegree with a nonzero coefficient, up to the search bound.
-
-    threshold is None when every coefficient in 1..dmax vanishes.  exact is
-    True only when a closed form certifies the value; otherwise the result is
-    a lower bound for the true threshold.
-    """
-
-    dmax: int
-    threshold: int | None
-    witness: Fraction | None
-    exact: bool = False
-
-    def describe(self) -> str:
-        if self.threshold is None:
-            return f"no nonzero coefficient found at codegrees 1..{self.dmax}"
-        kind = "exactly" if self.exact else "at least (search bound)"
-        return (
-            f"threshold {kind} {self.threshold} "
-            f"(c_{self.threshold} = {self.witness})"
-        )
-
-
-def threshold_search(host: MultiHypergraph, dmax: int) -> ThresholdReport:
-    """Scan codegrees 1..dmax for the last nonzero coefficient."""
+def threshold_search(host: MultiHypergraph, dmax: int) -> tuple[int | None, Fraction | None, bool]:
+    """(threshold, witness, exact): the last codegree in 1..dmax with a
+    nonzero coefficient and that coefficient, both None if all vanish.  exact
+    is True only when a closed form certifies the threshold; otherwise it is
+    a lower bound for the true one."""
     require_simple(host)
     if dmax < 1:
         raise DomainError("dmax must be at least 1")
-    table = codegree_coefficients(host, dmax)
-    threshold = next((d for d in range(dmax, 0, -1) if table.coefficient(d) != 0), None)
-    witness = None if threshold is None else table.coefficient(threshold)
+    coefficients, _ = codegree_coefficients(host, dmax)
+    threshold = next((d for d in range(dmax, 0, -1) if coefficients[d] != 0), None)
+    witness = None if threshold is None else coefficients[threshold]
     exact = len(host.edges) == 1 and threshold == threshold_single_edge(host.k, host.n)
-    return ThresholdReport(dmax, threshold, witness, exact)
+    return threshold, witness, exact

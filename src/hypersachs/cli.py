@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .classical import charpoly_graph, harary_sachs_coeffs, threshold_search
@@ -19,7 +20,7 @@ from .errors import ConsistencyFailure, HypersachsError, SizeExceeded, UsageErro
 from .formats import TABLE_FORMATS, emit_table, parse_document, rational_str
 from .hypergraph import MultiHypergraph
 from .rooting import assoc_coeff
-from .simplex import simplex_Ck
+from .simplex import asymptotic_ratio, simplex_Ck
 from .traces import codegree_coefficients, trace_bruteforce, trace_vector
 from .veblen_enum import count_all_veblen, enumerate_connected_veblen
 
@@ -164,10 +165,8 @@ def _atlas_lines(k: int, d: int, with_coeffs: bool) -> list[str]:
 def _cmd_coeffs(args) -> int:
     host, doc_name = _load_host(args)
     name = args.name if args.name is not None else doc_name
-    table = codegree_coefficients(
-        host, args.max_codegree, name=name, with_breakdown=args.with_breakdown
-    )
-    sys.stdout.write(emit_table(table, args.format))
+    coefficients, breakdown = codegree_coefficients(host, args.max_codegree, args.with_breakdown)
+    sys.stdout.write(emit_table(host, coefficients, breakdown, name, args.format))
     return 0
 
 
@@ -215,23 +214,24 @@ def _cmd_assoc_coeff(args) -> int:
 
 
 def _cmd_simplex(args) -> int:
-    report = simplex_Ck(args.k)
-    ck = rational_str(report.C_k)
+    C_k = simplex_Ck(args.k)
+    ck, ch = rational_str(C_k), rational_str(Fraction(C_k, (args.k - 1) ** args.k))
+    ratio = asymptotic_ratio(args.k, C_k)
     if args.format == "structured":
-        obj = {"k": args.k, "C_k": ck, "C_H": rational_str(report.C_H)}
+        obj = {"k": args.k, "C_k": ck, "C_H": ch}
         if args.report_asymptotics:
-            obj["asymptotic_ratio"] = report.asymptotic_ratio
+            obj["asymptotic_ratio"] = ratio
         print(json.dumps(obj, indent=2))
         return 0
     if args.format == "csv":
         print(f"{args.k},{ck}")
         if args.report_asymptotics:
-            print(f"ratio,{report.asymptotic_ratio}")
+            print(f"ratio,{ratio}")
         return 0
     print(f"C_{args.k} = {ck}")
-    print(f"simplex class weight = {rational_str(report.C_H)}")
+    print(f"simplex class weight = {ch}")
     if args.report_asymptotics:
-        print(f"C_k / ((k+1)! k^(k+1)) = {report.asymptotic_ratio}")
+        print(f"C_k / ((k+1)! k^(k+1)) = {ratio}")
     return 0
 
 
@@ -275,24 +275,22 @@ def _cmd_classical_check(args) -> int:
 
 def _cmd_threshold(args) -> int:
     host, _ = _load_host(args)
-    report = threshold_search(host, args.max_codegree)
+    dmax = args.max_codegree
+    threshold, witness, exact = threshold_search(host, dmax)
+    wit = None if witness is None else rational_str(witness)
     if args.format == "structured":
-        obj = {
-            "n": host.n,
-            "dmax": report.dmax,
-            "threshold": report.threshold,
-            "witness": None if report.witness is None else rational_str(report.witness),
-            "exact": report.exact,
-        }
+        obj = {"n": host.n, "dmax": dmax, "threshold": threshold, "witness": wit, "exact": exact}
         print(json.dumps(obj, indent=2))
         return 0
     if args.format == "csv":
-        th = "" if report.threshold is None else report.threshold
-        wit = "" if report.witness is None else rational_str(report.witness)
-        print(f"{host.n},{report.dmax},{th},{wit}")
+        print(f"{host.n},{dmax},{'' if threshold is None else threshold},{wit or ''}")
         return 0
     print(f"host: k={host.k} n={host.n} edges: {_edges_str(host)}")
-    print(report.describe())
+    if threshold is None:
+        print(f"no nonzero coefficient found at codegrees 1..{dmax}")
+    else:
+        kind = "exactly" if exact else "at least (search bound)"
+        print(f"threshold {kind} {threshold} (c_{threshold} = {witness})")
     return 0
 
 

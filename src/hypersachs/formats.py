@@ -24,9 +24,8 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import ArityError, ParseError, VertexRangeError
+from .errors import ArityError, DomainError, ParseError, VertexRangeError
 from .hypergraph import MultiHypergraph
-from .traces import CoefficientTable
 
 _HEADER_RE = re.compile(r"^k=(\d+)\s+n=(\d+)$")
 _MULT_RE = re.compile(r"^x(\d+)$")
@@ -143,41 +142,42 @@ def rational_str(x: Fraction | int) -> str:
 TABLE_FORMATS = ("structured", "csv", "human")
 
 
-def emit_table(table: CoefficientTable, format: str = "human") -> str:
-    """Render a coefficient table.  csv rows are "d,value"; human and
-    structured renderings carry k, n, and the polynomial degree as well, and
-    the breakdown if the table has one."""
+def emit_table(host: MultiHypergraph, coefficients: tuple[Fraction, ...], breakdown: dict | None = None,
+               name: str | None = None, format: str = "human") -> str:
+    """Render the host's coefficients c_0..c_D, as `codegree_coefficients`
+    returns them.  csv rows are "d,value"; human and structured renderings
+    carry k, n, the polynomial degree and the name as well, and the breakdown
+    unless it is None."""
     if format not in TABLE_FORMATS:
-        raise ValueError(f"format must be one of {TABLE_FORMATS}")
-    host = table.host
+        raise DomainError(f"format must be one of {TABLE_FORMATS}")
     degree = host.n * (host.k - 1) ** (host.n - 1) if host.n else 0
-    rows = [(d, table.coefficient(d)) for d in range(table.max_codegree + 1)]
+    rows = list(enumerate(coefficients))
     if format == "csv":
         return "\n".join(f"{d},{rational_str(c)}" for d, c in rows) + "\n"
     if format == "human":
         out = [f"k={host.k} n={host.n} degree={degree}"]
-        if table.name:
-            out[0] += f" name={table.name}"
+        if name:
+            out[0] += f" name={name}"
         width = max(len(str(d)) for d, _ in rows)
         for d, c in rows:
             out.append(f"c_{d:<{width}} = {rational_str(c)}")
-            if table.breakdown and d in table.breakdown:
-                for code, val in table.breakdown[d]:
+            if breakdown and d in breakdown:
+                for code, val in breakdown[d]:
                     out.append(f"  {code.hexdigest()}  {rational_str(val)}")
         return "\n".join(out) + "\n"
     obj: dict = {"k": host.k, "n": host.n, "degree": degree}
-    if table.name is not None:
-        obj["name"] = table.name
-    obj["max_codegree"] = table.max_codegree
+    if name is not None:
+        obj["name"] = name
+    obj["max_codegree"] = len(rows) - 1
     obj["coefficients"] = [
         {"d": d, "value": rational_str(c)} for d, c in rows
     ]
-    if table.breakdown is not None:
+    if breakdown is not None:
         obj["breakdown"] = {
             str(d): [
                 {"class": code.hexdigest(), "value": rational_str(val)}
-                for code, val in table.breakdown[d]
+                for code, val in breakdown[d]
             ]
-            for d in sorted(table.breakdown)
+            for d in sorted(breakdown)
         }
     return json.dumps(obj, indent=2) + "\n"

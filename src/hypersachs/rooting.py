@@ -24,7 +24,6 @@ trivial group sends the walk plain below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
@@ -33,18 +32,6 @@ from .digraph import MultiDigraph, is_eulerian
 from .errors import ConsistencyFailure, NormalizationFailure, NotConnected, NotVeblen
 from .hypergraph import MultiHypergraph, _compositions, components, is_connected, is_veblen
 from .linalg import bareiss_det
-
-
-@dataclass(frozen=True)
-class EulerOrientation:
-    """A distinct Eulerian digraph produced by rootings of H.
-
-    multiplicity = number of root-sorted rooting sequences that produce this
-    digraph (the weight it carries in the associated coefficient).
-    """
-
-    digraph: MultiDigraph
-    multiplicity: int
 
 
 def _combo_orbits(m: int, edges, chosen, feasible) -> tuple[list, bool]:
@@ -127,9 +114,11 @@ def _rooted_unions(H: MultiHypergraph, symmetric: bool = False):
     yield from rec(0, 1, 1, symmetric)
 
 
-def euler_orientations(H: MultiHypergraph) -> tuple[EulerOrientation, ...]:
-    """The distinct Eulerian digraphs over all rootings of a connected Veblen
-    hypergraph, each carrying the number of rootings that produce it."""
+def euler_orientations(H: MultiHypergraph) -> tuple[tuple[MultiDigraph, int], ...]:
+    """(digraph, multiplicity) for each distinct Eulerian digraph over the
+    rootings of a connected Veblen hypergraph, by sorted arcs: multiplicity is
+    the number of root-sorted rootings that produce it, its weight in the
+    associated coefficient."""
     verts = H.non_isolated
     by_arcs: dict[tuple, int] = {}
     for count, lap in _rooted_unions(H):
@@ -142,7 +131,7 @@ def euler_orientations(H: MultiHypergraph) -> tuple[EulerOrientation, ...]:
         D = MultiDigraph(vertices=verts, arcs=key)
         if not is_eulerian(D):
             raise ConsistencyFailure("rooted star union is not Eulerian")
-        out.append(EulerOrientation(digraph=D, multiplicity=by_arcs[key]))
+        out.append((D, by_arcs[key]))
     return tuple(out)
 
 

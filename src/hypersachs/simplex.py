@@ -21,26 +21,13 @@ inexact division).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from math import factorial
 
 from .digraph import MultiDigraph
 from .errors import DomainError, NormalizationFailure
 
 MAX_K = 1000
-
-
-@dataclass(frozen=True)
-class SimplexCoefficientReport:
-    """C_k with its scaled form C_H = C_k/(k-1)^k and the exact-ratio decimal
-    string C_k/((k+1)! k^{k+1})."""
-
-    k: int
-    C_k: int
-    C_H: Fraction
-    asymptotic_ratio: str
 
 
 def _derangement_cycle_sum(k: int) -> int:
@@ -55,15 +42,16 @@ def _derangement_cycle_sum(k: int) -> int:
     return (-m) ** m + m * acc
 
 
-def _ratio_string(num: int, den: int) -> str:
+def asymptotic_ratio(k: int, C_k: int) -> str:
+    """C_k / ((k+1)! k^(k+1)) as a decimal string of 12 significant digits."""
     with localcontext() as ctx:
         ctx.prec = 12
-        return str(Decimal(num) / Decimal(den))
+        return str(Decimal(C_k) / Decimal(factorial(k + 1) * k ** (k + 1)))
 
 
-def simplex_Ck(k: int) -> SimplexCoefficientReport:
-    """Full report for the simplex constant C_k, 2 <= k <= 1000, from the
-    closed form alone (module docstring)."""
+def simplex_Ck(k: int) -> int:
+    """The simplex constant C_k, 2 <= k <= 1000, from the closed form alone
+    (module docstring); the simplex's class weight is C_k/(k-1)^k."""
     if not 2 <= k <= MAX_K:
         raise DomainError(f"k must be in 2..{MAX_K}, got {k}")
     S = _derangement_cycle_sum(k)
@@ -72,12 +60,7 @@ def simplex_Ck(k: int) -> SimplexCoefficientReport:
         raise NormalizationFailure(
             f"derangement sum {S} is not divisible by (k-1)(k+1)^2 at k={k}"
         )
-    return SimplexCoefficientReport(
-        k=k,
-        C_k=C_k,
-        C_H=Fraction(C_k, (k - 1) ** k),
-        asymptotic_ratio=_ratio_string(C_k, factorial(k + 1) * k ** (k + 1)),
-    )
+    return C_k
 
 
 def simplex_orientation(k: int, sigma) -> MultiDigraph:

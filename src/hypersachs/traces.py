@@ -29,36 +29,20 @@ each minor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf, prod
 
 from .canon import CanonicalCode, _union_code
-from .errors import ConsistencyFailure, SizeExceeded
+from .errors import ConsistencyFailure, DomainError, SizeExceeded
 from .hypergraph import MultiHypergraph, _compositions, require_simple
 from .veblen_enum import connected_infragraph_classes
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Characteristic-polynomial coefficients c_0..c_D of a host, with c_0=1,
-    optionally with per-order breakdowns into isomorphism-class contributions."""
-
-    host: MultiHypergraph
-    name: str | None
-    max_codegree: int
-    coefficients: tuple[Fraction, ...]
-    breakdown: dict[int, tuple[tuple[CanonicalCode, Fraction], ...]] | None = None
-
-    def coefficient(self, d: int) -> Fraction:
-        return self.coefficients[d]
 
 
 def trace_d(host: MultiHypergraph, d: int) -> Fraction:
     """Power sum of order d: -d times the sum of `_order_terms(host, d)`."""
     require_simple(host)
     if d < 1:
-        raise ValueError("trace order must be >= 1")
+        raise DomainError("trace order must be >= 1")
     return -d * sum((x for _, _, x in _order_terms(host, d)), Fraction(0))
 
 
@@ -167,7 +151,7 @@ def trace_bruteforce(host: MultiHypergraph, d: int, budget: int = 10_000_000) ->
     raise SizeExceeded before any star term; past those two bounds the
     expansion raises nothing."""
     if d < 1:
-        raise ValueError("trace order must be >= 1")
+        raise DomainError("trace order must be >= 1")
     return _WalkExpansion(host, budget).trace(d)
 
 
@@ -219,13 +203,12 @@ def _breakdowns(terms, max_d: int) -> dict[int, tuple[tuple[CanonicalCode, Fract
 
 
 def codegree_coefficients(
-    host: MultiHypergraph,
-    max_codegree: int,
-    name: str | None = None,
-    with_breakdown: bool = False,
-) -> CoefficientTable:
-    """Coefficients c_0..c_max_codegree of the host's characteristic
-    polynomial (c_d multiplies x^(t-d) with t the polynomial degree).
+    host: MultiHypergraph, max_codegree: int, with_breakdown: bool = False
+) -> tuple[tuple[Fraction, ...], dict[int, tuple[tuple[CanonicalCode, Fraction], ...]] | None]:
+    """(coefficients, breakdown): the coefficients c_0..c_max_codegree of the
+    host's characteristic polynomial (c_0 = 1, and c_d multiplies x^(t-d) with
+    t the polynomial degree), and with `with_breakdown` each c_d's
+    per-class contributions by codegree 1..max_codegree, else None.
 
     The class terms are computed once; their per-edge-count sums feed one
     pass of Newton's recurrence, and the optional breakdown splits every c_d
@@ -234,19 +217,17 @@ def codegree_coefficients(
     """
     require_simple(host)
     if max_codegree < 0:
-        raise ValueError("max_codegree must be >= 0")
+        raise DomainError("max_codegree must be >= 0")
     terms = _class_terms(host, max_codegree)
     ts = [Fraction(0)] * max_codegree
     for dd, _code, x in terms:
         ts[dd - 1] += x
     coefficients = tuple(_newton(ts))
-    breakdown = None
-    if with_breakdown:
-        breakdown = _breakdowns(terms, max_codegree)
-        for dv, entries in breakdown.items():
-            total = sum((val for _, val in entries), Fraction(0))
-            if total != coefficients[dv]:
-                raise ConsistencyFailure(
-                    f"breakdown of c_{dv} sums to {total}, not {coefficients[dv]}"
-                )
-    return CoefficientTable(host, name, max_codegree, coefficients, breakdown)
+    if not with_breakdown:
+        return coefficients, None
+    breakdown = _breakdowns(terms, max_codegree)
+    for dv, entries in breakdown.items():
+        total = sum((val for _, val in entries), Fraction(0))
+        if total != coefficients[dv]:
+            raise ConsistencyFailure(f"breakdown of c_{dv} sums to {total}, not {coefficients[dv]}")
+    return coefficients, breakdown

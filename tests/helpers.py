@@ -126,11 +126,10 @@ def orientation_weight(H):
     orientations = euler_orientations(H)
     if not orientations:
         return Fraction(0)
-    denom = prod(orientations[0].digraph.in_degrees().values())
+    denom = prod(orientations[0][0].in_degrees().values())
     total = 0
-    for orient in orientations:
-        root = orient.digraph.non_isolated[0]
-        total += orient.multiplicity * arborescence_count(orient.digraph, root)
+    for D, multiplicity in orientations:
+        total += multiplicity * arborescence_count(D, D.non_isolated[0])
     return Fraction(total, denom)
 
 

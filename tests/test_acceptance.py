@@ -49,7 +49,7 @@ from hypersachs.classical import (
 from hypersachs.cli import dispatch
 from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.rooting import assoc_coeff, assoc_coeff_connected, euler_orientations
-from hypersachs.simplex import simplex_Ck, simplex_orientation
+from hypersachs.simplex import asymptotic_ratio, simplex_Ck, simplex_orientation
 from hypersachs.traces import _newton, codegree_coefficients, trace_bruteforce, trace_d
 from hypersachs.veblen_enum import (
     connected_infragraph_classes,
@@ -139,7 +139,7 @@ def test_no_assert_in_package_source():
 def test_criterion_1_extended_codegree_12():
     start = time.monotonic()
     got = {
-        label: list(codegree_coefficients(host, 12).coefficients)
+        label: list(codegree_coefficients(host, 12)[0])
         for label, host in HOSTS.items()
     }
     elapsed = time.monotonic() - start
@@ -272,8 +272,8 @@ C_100 = int(
 
 def test_criterion_4_simplex_constants():
     start = time.monotonic()
-    small = tuple(simplex_Ck(k).C_k for k in range(2, 11))
-    big = simplex_Ck(100).C_k
+    small = tuple(simplex_Ck(k) for k in range(2, 11))
+    big = simplex_Ck(100)
     elapsed = time.monotonic() - start
     digits = str(big)
     ok = (
@@ -290,10 +290,10 @@ def test_criterion_4_simplex_constants():
     assert big == C_100
     assert elapsed < 5
     # growth check across the whole supported prefix of the sequence
-    values = [simplex_Ck(k).C_k for k in range(2, 101)]
+    values = [simplex_Ck(k) for k in range(2, 101)]
     assert all(a < b for a, b in zip(values, values[1:]))
-    assert simplex_Ck(5).asymptotic_ratio == "0.00250933333333"
-    assert simplex_Ck(100).asymptotic_ratio == "3.64255405112E-7"
+    assert asymptotic_ratio(5, values[3]) == "0.00250933333333"
+    assert asymptotic_ratio(100, big) == "3.64255405112E-7"
 
 
 def test_criterion_5a_assembly_routes_agree():
@@ -301,7 +301,7 @@ def test_criterion_5a_assembly_routes_agree():
     rng = random.Random(20260819)
     for _ in range(100):
         host = random_3graph(rng, rng.randint(3, 6), rng.uniform(0.15, 0.5))
-        row = list(codegree_coefficients(host, 7).coefficients)
+        row = list(codegree_coefficients(host, 7)[0])
         # the exponential formula over the package's own class terms checks
         # the assembly arithmetic, not the enumeration or the weights
         scale = -(F(host.k - 1) ** host.n)
@@ -332,7 +332,7 @@ def test_criterion_5c_simplex_agrees_with_rooting():
     start = time.monotonic()
     for k in (2, 3, 4):
         lhs = assoc_coeff_connected(complete_kgraph(k)) * (k - 1) ** k
-        assert lhs == simplex_Ck(k).C_k, k
+        assert lhs == simplex_Ck(k), k
     elapsed = time.monotonic() - start
     print(f"CRITERION 5c: PASS ({elapsed:.1f}s)")
 
@@ -392,17 +392,14 @@ def test_criterion_7_single_edge_profiles_and_thresholds():
     for v, dmax in ((3, 12), (4, 18)):
         D = 3 * 2 ** (v - 3)
         host = MultiHypergraph.build(3, v, [(1, 2, 3)])
-        table = codegree_coefficients(host, dmax)
+        coefficients, _ = codegree_coefficients(host, dmax)
         for d in range(dmax + 1):
             expected = (-1) ** (d // 3) * comb(D, d // 3) if d % 3 == 0 else 0
-            assert table.coefficient(d) == expected, (v, d)
+            assert coefficients[d] == expected, (v, d)
 
-    rep3 = threshold_search(MultiHypergraph.build(3, 3, [(1, 2, 3)]), 12)
-    assert (rep3.threshold, rep3.witness, rep3.exact) == (9, -1, True)
-    rep4 = threshold_search(MultiHypergraph.build(3, 4, [(1, 2, 3)]), 20)
-    assert (rep4.threshold, rep4.witness, rep4.exact) == (18, 1, True)
-    empty = threshold_search(MultiHypergraph.build(3, 3), 6)
-    assert empty.threshold is None
+    assert threshold_search(MultiHypergraph.build(3, 3, [(1, 2, 3)]), 12) == (9, -1, True)
+    assert threshold_search(MultiHypergraph.build(3, 4, [(1, 2, 3)]), 20) == (18, 1, True)
+    assert threshold_search(MultiHypergraph.build(3, 3), 6)[0] is None
     elapsed = time.monotonic() - start
     print(f"CRITERION 7: PASS ({elapsed:.1f}s)")
 
@@ -425,7 +422,7 @@ def test_criterion_8_unsplittable_host_and_orientation_bijection():
     expected = {
         tuple(sorted(simplex_orientation(3, sigma).arcs)) for sigma in derangements
     }
-    produced = {tuple(sorted(o.digraph.arcs)) for o in orients}
+    produced = {tuple(sorted(D.arcs)) for D, _ in orients}
     assert produced == expected
     elapsed = time.monotonic() - start
     print(f"CRITERION 8: PASS ({elapsed:.1f}s)")
@@ -439,8 +436,7 @@ def test_regression_codegree_15_rows():
         "F": ROWS_12["F"] + [-34237560, 120204, -30303162330],
     }
     for label, host in HOSTS.items():
-        table = codegree_coefficients(host, 15)
-        assert list(table.coefficients) == expected[label], label
+        assert list(codegree_coefficients(host, 15)[0]) == expected[label], label
 
 
 # the v9_4 certificate: on the 3-edge star host (v9_4's simple support) the
@@ -457,7 +453,7 @@ def test_regression_triple_star_weight_certificate():
     ts = [F(-traces[j - 1], j) for j in range(1, 10)]
     c9 = _newton(ts)[9]
     assert c9 == -472062
-    assert codegree_coefficients(host, 9).coefficient(9) == c9
+    assert codegree_coefficients(host, 9)[0][9] == c9
     assert count_infragraph(host, g) == 1
     by_coeff = {
         rec.assoc_coeff: rec.labeled_count
@@ -470,7 +466,7 @@ def test_regression_triple_star_weight_certificate():
     # the independent certificate
     walk_c9 = newton_coefficients(walk_traces(host, 9))[9]
     assert walk_c9 == -472062
-    assert codegree_coefficients(host, 9).coefficient(9) == walk_c9
+    assert codegree_coefficients(host, 9)[0][9] == walk_c9
     certified = walk_weight(g)
     assert certified == F(27, 64)
     assert certified != RECORDED_V9_4

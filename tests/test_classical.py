@@ -1,9 +1,14 @@
 """Ordinary graphs: signed subgraph expansion, trails, vanishing thresholds."""
 
 import inspect
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +106,43 @@ def test_census_degree_bound():
         harary_sachs_coeffs(cycle_graph(3), 4)
 
 
+@pytest.mark.parametrize("n", [9, 12])
+def test_census_refuses_complete_graphs_before_it_starts(n):
+    # unbounded, K_9 at d=9 ran for about 110 s and K_12 for longer; the
+    # bound is checked before the selection and while the cycles are listed
+    code = (
+        "import itertools\n"
+        "from hypersachs.classical import harary_sachs_coeffs\n"
+        "from hypersachs.errors import SizeExceeded\n"
+        "from hypersachs.hypergraph import MultiHypergraph\n"
+        f"G = MultiHypergraph.build(2, {n}, list(itertools.combinations(range(1, {n + 1}), 2)))\n"
+        "try:\n"
+        f"    harary_sachs_coeffs(G, {n})\n"
+        "except SizeExceeded as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(classical.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: elementary subgraphs on "), proc.stdout
+
+
+def test_census_of_the_largest_checked_graph_computes():
+    # every graph on at most 8 vertices is within the bounds, K_8 the costliest
+    K8 = graph2(8, list(combinations(range(1, 9), 2)))
+    assert harary_sachs_coeffs(K8, 8) == charpoly_graph(K8)[8] == -7
+
+
+def test_cycle_listing_step_bound(monkeypatch):
+    # a vertex hanging off a complete graph: the listing walks the paths from
+    # it, none of which closes, and stops at its step bound
+    G = graph2(7, [(1, 2)] + list(combinations(range(2, 8), 2)))
+    assert harary_sachs_coeffs(G, 7) == charpoly_graph(G)[7]
+    monkeypatch.setattr(classical, "MAX_CYCLE_STEPS", 100)
+    with pytest.raises(SizeExceeded, match="path steps"):
+        harary_sachs_coeffs(G, 7)
+
+
 @pytest.mark.parametrize(
     "G,expect",
     [
@@ -173,14 +215,11 @@ def test_profile_doubling_convolution():
 
 def test_threshold_search_single_edge_hosts():
     e3 = MultiHypergraph.build(3, 3, [(1, 2, 3)])
-    rep = threshold_search(e3, 12)
-    assert (rep.threshold, rep.witness, rep.exact) == (9, -1, True)
-    assert "exactly 9" in rep.describe()
+    assert threshold_search(e3, 12) == (9, -1, True)
 
     e4 = MultiHypergraph.build(3, 4, [(1, 2, 3)])
-    rep = threshold_search(e4, 20)
-    assert (rep.threshold, rep.witness, rep.exact) == (18, 1, True)
-    assert rep.threshold == threshold_single_edge(e4.k, e4.n)
+    assert threshold_search(e4, 20) == (18, 1, True)
+    assert threshold_single_edge(e4.k, e4.n) == 18
 
 
 @pytest.mark.parametrize(
@@ -190,23 +229,19 @@ def test_threshold_single_edge_any_arity(k, v, last):
     # (x^k - 1)^(k^(k-2)) for the edge, raised to k-1 per isolated vertex
     assert threshold_single_edge(k, v) == last
     host = MultiHypergraph.build(k, v, [tuple(range(1, k + 1))])
-    rep = threshold_search(host, last + k)
-    assert (rep.threshold, rep.exact) == (last, True)
-    assert rep.describe().startswith(f"threshold exactly {last} ")
+    threshold, _, exact = threshold_search(host, last + k)
+    assert (threshold, exact) == (last, True)
     # a bound short of the last codegree finds a lower bound only
-    assert not threshold_search(host, last - 1).exact
+    assert not threshold_search(host, last - 1)[2]
 
 
 def test_threshold_search_misc_hosts():
     empty = MultiHypergraph.build(3, 3)
-    rep = threshold_search(empty, 4)
-    assert rep.threshold is None and rep.witness is None
-    assert "no nonzero" in rep.describe()
+    assert threshold_search(empty, 4) == (None, None, False)
 
     tri = cycle_graph(3)
-    rep = threshold_search(tri, 3)
-    assert rep.threshold == 3 and rep.witness == -2
-    assert not rep.exact  # no closed form certifies graph hosts
+    # no closed form certifies graph hosts
+    assert threshold_search(tri, 3) == (3, -2, False)
 
     with pytest.raises(DomainError):
         threshold_search(MultiHypergraph.build(3, 3, [(1, 2, 3)]), 0)
@@ -218,7 +253,5 @@ def test_coefficient_pipeline_matches_charpoly_on_random_graphs():
     rng = random.Random(23)
     for _ in range(12):
         G = random_graph(rng, rng.randint(2, 5), rng.uniform(0.2, 0.8))
-        table = codegree_coefficients(G, G.n)
-        assert tuple(table.coefficients) == tuple(
-            F(c) for c in charpoly_graph(G)
-        )
+        coefficients, _ = codegree_coefficients(G, G.n)
+        assert coefficients == tuple(F(c) for c in charpoly_graph(G))

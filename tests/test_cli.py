@@ -14,7 +14,7 @@ from hypersachs.cli import dispatch
 from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.simplex import MAX_K
 
-# sha256 of hex(simplex_Ck(MAX_K).C_k), as pinned in test_simplex.test_max_k_boundary
+# sha256 of hex(simplex_Ck(MAX_K)), as pinned in test_simplex.test_max_k_boundary
 MAX_K_HEX_SHA256 = "6598c54f1c5c0dbb690f012b57c4dab6245d0fd861e05e971cbfa45321c07972"
 
 EDGE_DOC = "k=3 n=3\n1 2 3\n"

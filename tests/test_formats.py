@@ -7,7 +7,7 @@ import pytest
 
 from catalog import fano_plane, single_edge
 from helpers import serialize_hypergraph
-from hypersachs.errors import ArityError, ParseError, VertexRangeError
+from hypersachs.errors import ArityError, DomainError, ParseError, VertexRangeError
 from hypersachs.formats import emit_table, parse_document, rational_str
 from hypersachs.hypergraph import MultiHypergraph
 from hypersachs.traces import codegree_coefficients
@@ -142,32 +142,32 @@ def test_rational_str():
 
 
 def test_emit_table_csv_golden():
-    table = codegree_coefficients(single_edge(3), 3)
-    assert emit_table(table, "csv") == "0,1\n1,0\n2,0\n3,-3\n"
+    coefficients, _ = codegree_coefficients(single_edge(3), 3)
+    assert emit_table(single_edge(3), coefficients, format="csv") == "0,1\n1,0\n2,0\n3,-3\n"
 
 
 def test_emit_table_human():
-    table = codegree_coefficients(fano_plane(), 3, name="plane")
-    text = emit_table(table, "human")
+    coefficients, _ = codegree_coefficients(fano_plane(), 3)
+    text = emit_table(fano_plane(), coefficients, name="plane")
     lines = text.splitlines()
     assert lines[0] == "k=3 n=7 degree=448 name=plane"
     assert lines[-1].startswith("c_3") and lines[-1].endswith("-336")
 
 
 def test_emit_table_structured_with_breakdown():
-    table = codegree_coefficients(single_edge(3), 3, with_breakdown=True)
-    obj = json.loads(emit_table(table, "structured"))
+    obj = json.loads(emit_table(single_edge(3), *codegree_coefficients(single_edge(3), 3, with_breakdown=True),
+                                format="structured"))
     assert obj["k"] == 3 and obj["n"] == 3 and obj["degree"] == 12
     assert obj["coefficients"][3] == {"d": 3, "value": "-3"}
     assert list(obj["breakdown"]) == ["1", "2", "3"]
     (entry,) = obj["breakdown"]["3"]
     assert entry["value"] == "-3" and len(entry["class"]) == 16
     # a table without a breakdown renders none
-    plain = json.loads(emit_table(codegree_coefficients(single_edge(3), 3), "structured"))
+    plain = json.loads(emit_table(single_edge(3), *codegree_coefficients(single_edge(3), 3), format="structured"))
     assert "breakdown" not in plain
 
 
 def test_emit_table_rejects_unknown_format():
-    table = codegree_coefficients(single_edge(3), 1)
-    with pytest.raises(ValueError):
-        emit_table(table, "tsv")
+    coefficients, _ = codegree_coefficients(single_edge(3), 1)
+    with pytest.raises(DomainError):
+        emit_table(single_edge(3), coefficients, format="tsv")
