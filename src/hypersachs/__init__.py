@@ -9,7 +9,7 @@ arithmetic.
 """
 
 from .hypergraph import MultiHypergraph, components, flatten, is_veblen
-from .canon import AutReport, CanonicalCode, automorphisms, canonical_form
+from .canon import AutReport, automorphisms, canonical_form
 from .digraph import MultiDigraph, arborescence_count, euler_circuit_count, is_eulerian
 from .rooting import assoc_coeff, assoc_coeff_connected, euler_orientations
 from .veblen_enum import (
@@ -41,7 +41,6 @@ __all__ = [
     "flatten",
     "components",
     "is_veblen",
-    "CanonicalCode",
     "AutReport",
     "canonical_form",
     "automorphisms",

@@ -8,7 +8,9 @@ edges, repeated until no cell splits.  The search tree branches on the first
 smallest non-singleton cell, individualizing each of its vertices in turn
 and refining again.  At a leaf the partition is discrete, and the leaf's code
 is the sorted edge encoding under its labels; the canonical code is the
-least leaf code.
+least leaf code.  A class is its code, plain bytes: "k<k>|n<m>" and then
+"|<labels>x<mult>" per edge in that order, ASCII-encoded; equal bytes mean
+isomorphic graphs.
 
 Two leaves with equal codes differ by an automorphism.  Automorphisms prune
 the search twice: a child of a node on the first path is skipped when its
@@ -17,8 +19,8 @@ as soon as one of its leaves matches the first or the best leaf.  The
 automorphisms found generate Aut, and `_search` returns them; |Aut| is the
 product of the first path's orbit sizes under them (orbit-stabilizer).
 
-A disconnected graph's code is the sorted multiset of its component codes,
-marked so that it never equals a connected code.  Its |Aut| is the product
+A disconnected graph's code is b"u" and its sorted component codes joined
+by b"+", so it never equals a connected code.  Its |Aut| is the product
 of the component counts times the factorial of each repeat count, and
 VERTEX_BOUND applies to each component on its own.  Isolated vertices are
 ignored throughout.
@@ -26,7 +28,6 @@ ignored throughout.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial, prod
@@ -35,20 +36,6 @@ from .errors import NormalizationFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, component_supports, components, flatten, is_connected
 
 VERTEX_BOUND = 16
-
-
-@dataclass(frozen=True)
-class CanonicalCode:
-    """Relabeling-invariant identifier: uniformity, non-isolated vertex count
-    and the canonical edge multiset, serialized to bytes."""
-
-    blob: bytes
-
-    def hexdigest(self) -> str:
-        return hashlib.sha256(self.blob).hexdigest()[:16]
-
-    def __repr__(self):
-        return f"CanonicalCode({self.hexdigest()})"
 
 
 @dataclass(frozen=True)
@@ -149,7 +136,7 @@ def _search(m: int, edges) -> tuple[tuple, int, list[tuple[int, ...]], list[int]
     return best[0], aut, gens, best[1]
 
 
-def _connected_code(k: int, verts, edges) -> tuple[CanonicalCode, int, list, list[int]]:
+def _connected_code(k: int, verts, edges) -> tuple[bytes, int, list, list[int]]:
     """Code, |Aut|, generators of Aut and canonical labeling (as `_search`
     gives them, on positions in `verts`) of the connected graph with these
     edges on `verts`."""
@@ -162,17 +149,17 @@ def _connected_code(k: int, verts, edges) -> tuple[CanonicalCode, int, list, lis
     local = [(tuple(index[v] for v in e), mult) for e, mult in edges]
     code, aut, gens, label = _search(m, local) if m else ((), 1, [], [])
     parts = [f"k{k}", f"n{m}"] + [",".join(map(str, e)) + f"x{mult}" for e, mult in code]
-    return CanonicalCode("|".join(parts).encode()), aut, gens, label
+    return "|".join(parts).encode(), aut, gens, label
 
 
-def _union_code(codes) -> CanonicalCode:
+def _union_code(codes) -> bytes:
     """Code of the disjoint union of connected graphs with these codes."""
     if len(codes) == 1:
         return codes[0]
-    return CanonicalCode(b"u" + b"+".join(sorted(c.blob for c in codes)))
+    return b"u" + b"+".join(sorted(codes))
 
 
-def canon_and_aut(H: MultiHypergraph) -> tuple[CanonicalCode, int]:
+def canon_and_aut(H: MultiHypergraph) -> tuple[bytes, int]:
     """Canonical code together with |Aut(H)| (non-isolated vertices only)."""
     supports = component_supports(H)
     if len(supports) <= 1:
@@ -186,11 +173,11 @@ def canon_and_aut(H: MultiHypergraph) -> tuple[CanonicalCode, int]:
     return _union_code(codes), aut
 
 
-def canonical_form(H: MultiHypergraph) -> CanonicalCode:
+def canonical_form(H: MultiHypergraph) -> bytes:
     return canon_and_aut(H)[0]
 
 
-_aut_memo: dict[CanonicalCode, AutReport] = {}
+_aut_memo: dict[bytes, AutReport] = {}
 
 
 def automorphisms(H: MultiHypergraph) -> AutReport:

@@ -11,6 +11,7 @@ table.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import DomainError, SizeExceeded
@@ -20,8 +21,9 @@ from .traces import codegree_coefficients
 
 MAX_CHARPOLY_VERTICES = 12
 # bounds of one elementary-subgraph census: steps of its cycle listing (0.2 to
-# 3 µs each) and piece checks of its selection (about 60 ns each)
-MAX_CYCLE_STEPS, MAX_CENSUS_CHECKS = 10**6, 10**9
+# 3 µs each) and piece checks of its selection as `_check_census` bounds them
+# (K_8 at 8 vertices: 8.0e6, 0.07 s)
+MAX_CYCLE_STEPS, MAX_CENSUS_CHECKS = 10**6, 10**8
 
 
 def _require_graph(G: MultiHypergraph) -> None:
@@ -29,47 +31,65 @@ def _require_graph(G: MultiHypergraph) -> None:
         raise DomainError(f"expected an ordinary graph (k=2), got k={G.k}")
 
 
-def _cycles_of_graph(G: MultiHypergraph, d: int) -> list[tuple[int, ...]]:
-    """The cycle subgraphs on at most d vertices, each listed once.
+def _check_census(sizes: list[Counter], d: int) -> None:
+    """Raise SizeExceeded if an upper bound on the piece checks of the
+    selection in `elementary_subgraphs` on d vertices is over
+    MAX_CENSUS_CHECKS; sizes[v] counts the pieces whose smallest vertex is v
+    by vertex count, and fewer pieces never give a larger bound.  The
+    selection decides v at most once per set of pieces with distinct
+    smallest vertices below v on fewer than d vertices, overlapping or not,
+    and checks each piece at v and leaving v out."""
+    sets, checks = [1] + [0] * (d - 1), 0  # sets: such piece sets on t < d vertices
+    for here in sizes:
+        checks += (sum(here.values()) + 1) * sum(sets)
+        for t in range(d - 1, 1, -1):
+            sets[t] += sum(c * sets[t - s] for s, c in here.items() if s <= t)
+    if checks > MAX_CENSUS_CHECKS:
+        raise SizeExceeded(f"elementary subgraphs on {d} vertices: the selection's bound reaches "
+                           f"{checks:.3g} piece checks, over {MAX_CENSUS_CHECKS:.3g}")
+
+
+def _cycles_of_graph(G: MultiHypergraph, d: int, sizes: list[Counter]) -> list[tuple[int, ...]]:
+    """The cycle subgraphs on at most d vertices, each listed once; every
+    edge and cycle is counted in `sizes` at its smallest vertex.
 
     Canonical listing: start at the cycle's smallest vertex, go toward the
-    smaller of its two cycle neighbors.  The listing stops with SizeExceeded
-    after MAX_CYCLE_STEPS path steps, or once the pieces it has found cost
-    the selection in `elementary_subgraphs` more than MAX_CENSUS_CHECKS: the
-    selection scans every piece after each piece on fewer than d vertices, so
-    s such pieces cost it at least s(s-1)/2 checks.
+    smaller of its two cycle neighbors.  Starts go from the largest vertex
+    down, so the pieces that every smaller start multiplies come first, and
+    `_check_census` runs after each start that more than doubles the
+    cycles.  More than MAX_CYCLE_STEPS path steps raise SizeExceeded.
     """
     adj: dict[int, set[int]] = {}
     for (u, v), _ in G.edges:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
+        sizes[u][2] += 1
     cycles: list[tuple[int, ...]] = []
-    steps, small = 0, len(G.edges) if d > 2 else 0
+    steps = checked = 0
 
     def extend(start: int, path: list[int], on_path: set[int]) -> None:
-        nonlocal steps, small
+        nonlocal steps
         cur = path[-1]
         for w in sorted(adj[cur]):
             if w == start and len(path) >= 3:
                 if path[1] < path[-1]:
                     cycles.append(tuple(path))
-                    small += len(path) < d
+                    sizes[start][len(path)] += 1
             elif w > start and w not in on_path and len(path) < d:
                 steps += 1
                 if steps > MAX_CYCLE_STEPS:
                     raise SizeExceeded(f"cycles on at most {d} vertices: more than {MAX_CYCLE_STEPS:.3g} path steps")
-                if small * (small - 1) // 2 > MAX_CENSUS_CHECKS:
-                    raise SizeExceeded(f"elementary subgraphs on {d} vertices: {small} pieces on fewer vertices, "
-                                       f"at least {small * (small - 1) // 2:.3g} piece checks, "
-                                       f"bound {MAX_CENSUS_CHECKS:.3g}")
                 path.append(w)
                 on_path.add(w)
                 extend(start, path, on_path)
                 on_path.discard(w)
                 path.pop()
 
-    for s in sorted(adj):
+    for s in sorted(adj, reverse=True):
         extend(s, [s], {s})
+        if len(cycles) > 2 * checked:
+            _check_census(sizes, d)
+            checked = len(cycles)
     return cycles
 
 
@@ -77,45 +97,44 @@ def elementary_subgraphs(G: MultiHypergraph, d: int) -> list[tuple[tuple, tuple]
     """All elementary subgraphs of the simple graph G on exactly d vertices:
     subgraphs whose components are single edges or cycles, each as a pair
     (edges, cycles).  A cycle is a vertex tuple listed as in `_cycles_of_graph`.
-    A selection that may take more than MAX_CENSUS_CHECKS piece checks
-    raises SizeExceeded before it starts."""
+
+    The selection decides the vertices in order: the smallest one not yet
+    covered is left out, while fewer than n - d are, or covered by a piece
+    whose smallest vertex it is.  Its work thus follows the subgraphs it
+    lists; a bound of it over MAX_CENSUS_CHECKS piece checks
+    (`_check_census`) raises SizeExceeded before it starts, and its
+    recursion goes only as deep as the pieces it selects."""
     _require_graph(G)
     require_simple(G)
-    if d < 0:
-        raise DomainError("vertex count must be nonnegative")
+    if not 0 <= d <= G.n:
+        raise DomainError(f"vertex count d={d} outside 0..{G.n}")
     edges = [e for e, _ in G.edges]
-    cycles = _cycles_of_graph(G, d)
-    # pieces in a fixed order; a subgraph is an increasing piece selection
-    pieces: list[tuple[frozenset[int], int]] = [
-        (frozenset(e), i) for i, e in enumerate(edges)
-    ] + [(frozenset(c), len(edges) + i) for i, c in enumerate(cycles)]
-    # the selection scans the pieces once at each partial selection of fewer
-    # than d vertices; sets[t] counts the piece sets on t vertices, overlapping
-    # or not, so it bounds those from above
-    sets = [1] + [0] * d
-    for verts, _ in pieces:
-        for t in range(d, len(verts) - 1, -1):
-            sets[t] += sets[t - len(verts)]
-    work = len(pieces) * sum(sets[:d])
-    if work > MAX_CENSUS_CHECKS:
-        raise SizeExceeded(f"elementary subgraphs on {d} vertices: up to {work:.3g} piece checks, "
-                           f"bound {MAX_CENSUS_CHECKS:.3g}")
+    sizes = [Counter() for _ in range(G.n + 1)]
+    cycles = _cycles_of_graph(G, d, sizes)
+    _check_census(sizes, d)
+    # pieces (edges, then cycles) with their vertex bit sets, by smallest vertex
+    at: list[list[tuple[int, tuple]]] = [[] for _ in range(G.n + 1)]
+    for piece in edges + cycles:
+        at[min(piece)].append((sum(1 << v for v in piece), piece))
     out: list[tuple[tuple, tuple]] = []
 
-    def rec(i: int, used: frozenset[int], chosen: list[int], left: int) -> None:
+    def rec(v: int, used: int, chosen: list[tuple], left: int, spare: int) -> None:
         if left == 0:
-            es = tuple(edges[j] for j in chosen if j < len(edges))
-            cs = tuple(cycles[j - len(edges)] for j in chosen if j >= len(edges))
-            out.append((es, cs))
+            out.append((tuple(p for p in chosen if len(p) == 2), tuple(p for p in chosen if len(p) > 2)))
             return
-        for j in range(i, len(pieces)):
-            verts, idx = pieces[j]
-            if len(verts) <= left and not verts & used:
-                chosen.append(idx)
-                rec(j + 1, used | verts, chosen, left - len(verts))
-                chosen.pop()
+        while True:  # some vertex from v on is undecided while left + spare > 0
+            while used >> v & 1:
+                v += 1
+            for mask, piece in at[v]:
+                if len(piece) <= left and not mask & used:
+                    chosen.append(piece)
+                    rec(v + 1, used | mask, chosen, left - len(piece), spare)
+                    chosen.pop()
+            if not spare:
+                return
+            v, spare = v + 1, spare - 1  # v left out
 
-    rec(0, frozenset(), [], d)
+    rec(1, 0, [], d, G.n - d)
     return out
 
 
@@ -137,10 +156,6 @@ def charpoly_graph(G: MultiHypergraph) -> tuple[int, ...]:
 def harary_sachs_coeffs(G: MultiHypergraph, d: int) -> int:
     """Coefficient of x^{n-d} in charpoly_graph(G), by summing signed weights
     of elementary subgraphs on d vertices."""
-    _require_graph(G)
-    require_simple(G)
-    if d > G.n:
-        raise DomainError(f"d={d} exceeds the vertex count {G.n}")
     return sum((-1) ** (len(es) + len(cs)) * 2 ** len(cs) for es, cs in elementary_subgraphs(G, d))
 
 

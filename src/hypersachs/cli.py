@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .classical import charpoly_graph, harary_sachs_coeffs, threshold_search
 from .errors import ConsistencyFailure, HypersachsError, SizeExceeded, UsageError
-from .formats import TABLE_FORMATS, emit_table, parse_document, rational_str
+from .formats import TABLE_FORMATS, _class_digest, emit_table, parse_document, rational_str
 from .hypergraph import MultiHypergraph
-from .rooting import assoc_coeff
+from .rooting import _class_weight, assoc_coeff
 from .simplex import asymptotic_ratio, simplex_Ck
 from .traces import codegree_coefficients, trace_bruteforce, trace_vector
 from .veblen_enum import count_all_veblen, enumerate_connected_veblen
@@ -151,14 +151,11 @@ def _edges_str(H: MultiHypergraph) -> str:
     return "; ".join(parts)
 
 
-def _atlas_lines(k: int, d: int, with_coeffs: bool) -> list[str]:
+def _atlas_lines(k: int, d: int, weighed: bool) -> list[str]:
     lines = []
-    for rec in enumerate_connected_veblen(k, d, with_coeffs=with_coeffs):
-        value = rational_str(rec.assoc_coeff) if with_coeffs else "-"
-        lines.append(
-            f"{rec.code.hexdigest()}\t{d}\t{_edges_str(rec.representative)}"
-            f"\t{value}\t{rec.aut_count}"
-        )
+    for rec in enumerate_connected_veblen(k, d):
+        value = rational_str(_class_weight(rec.code, rec.representative)) if weighed else "-"
+        lines.append(f"{_class_digest(rec.code)}\t{d}\t{_edges_str(rec.representative)}\t{value}\t{rec.aut_count}")
     return lines
 
 
@@ -309,7 +306,7 @@ def _cmd_atlas_export(args) -> int:
     # order 0 lists no class but still refuses an arity below 2
     sizes = [args.d] if args.d is not None else list(range(args.max_codegree + 1))
     # the largest order first: its free tree fills every smaller one
-    blocks = {d: _atlas_lines(args.k, d, with_coeffs=True) for d in reversed(sizes)}
+    blocks = {d: _atlas_lines(args.k, d, weighed=True) for d in reversed(sizes)}
     lines = [line for d in sizes for line in blocks[d]]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.output == "-":

@@ -19,6 +19,7 @@ emits floats.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from decimal import Decimal
@@ -139,6 +140,11 @@ def rational_str(x: Fraction | int) -> str:
     return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
+def _class_digest(code: bytes) -> str:
+    """The printed name of a class: the first 16 hex digits of sha256(code)."""
+    return hashlib.sha256(code).hexdigest()[:16]
+
+
 TABLE_FORMATS = ("structured", "csv", "human")
 
 
@@ -147,7 +153,7 @@ def emit_table(host: MultiHypergraph, coefficients: tuple[Fraction, ...], breakd
     """Render the host's coefficients c_0..c_D, as `codegree_coefficients`
     returns them.  csv rows are "d,value"; human and structured renderings
     carry k, n, the polynomial degree and the name as well, and the breakdown
-    unless it is None."""
+    unless it is None, each class under its `_class_digest`."""
     if format not in TABLE_FORMATS:
         raise DomainError(f"format must be one of {TABLE_FORMATS}")
     degree = host.n * (host.k - 1) ** (host.n - 1) if host.n else 0
@@ -163,7 +169,7 @@ def emit_table(host: MultiHypergraph, coefficients: tuple[Fraction, ...], breakd
             out.append(f"c_{d:<{width}} = {rational_str(c)}")
             if breakdown and d in breakdown:
                 for code, val in breakdown[d]:
-                    out.append(f"  {code.hexdigest()}  {rational_str(val)}")
+                    out.append(f"  {_class_digest(code)}  {rational_str(val)}")
         return "\n".join(out) + "\n"
     obj: dict = {"k": host.k, "n": host.n, "degree": degree}
     if name is not None:
@@ -175,7 +181,7 @@ def emit_table(host: MultiHypergraph, coefficients: tuple[Fraction, ...], breakd
     if breakdown is not None:
         obj["breakdown"] = {
             str(d): [
-                {"class": code.hexdigest(), "value": rational_str(val)}
+                {"class": _class_digest(code), "value": rational_str(val)}
                 for code, val in breakdown[d]
             ]
             for d in sorted(breakdown)

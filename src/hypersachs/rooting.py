@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .canon import CanonicalCode, _search, canonical_form
+from .canon import _search, canonical_form
 from .digraph import MultiDigraph, is_eulerian
 from .errors import ConsistencyFailure, NormalizationFailure, NotConnected, NotVeblen
 from .hypergraph import MultiHypergraph, _compositions, components, is_connected, is_veblen
@@ -149,10 +149,10 @@ def assoc_coeff_connected(H: MultiHypergraph) -> Fraction:
     return Fraction(total, prod((H.k - 1) * d // H.k for d in H.degrees().values() if d))
 
 
-_coeff_memo: dict[CanonicalCode, Fraction] = {}
+_coeff_memo: dict[bytes, Fraction] = {}
 
 
-def _class_weight(code: CanonicalCode, H: MultiHypergraph) -> Fraction:
+def _class_weight(code: bytes, H: MultiHypergraph) -> Fraction:
     """`assoc_coeff_connected(H)` for H in the connected class `code`, once per code."""
     if code not in _coeff_memo:
         _coeff_memo[code] = assoc_coeff_connected(H)

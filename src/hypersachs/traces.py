@@ -4,11 +4,12 @@ hypergraphs, all in exact rational arithmetic.
 `codegree_coefficients` has one assembly route, and one function,
 `_order_terms`, states its class terms: every connected class realized in
 the host with d edges contributes -(k-1)^n * weight * labeled count, and
-the terms of order d sum to -Tr_d/d.  `trace_d` returns -d times that sum,
-so it is no certificate of the class weights.  One pass of Newton's
-identities per table (`_newton`) turns the per-order sums into c_0..c_D in
-O(D^2) rational steps, and one walk over the multisets of the same terms
-(`_breakdowns`) splits every c_d by class.
+the terms of order d sum to -Tr_d/d; classes, codes (bytes) and counts come
+from `veblen_enum`, weights from `rooting._class_weight`.  `trace_d` returns
+-d times that sum, so it is no certificate of the class weights.  One pass
+of Newton's identities per table (`_newton`) turns the per-order sums into
+c_0..c_D in O(D^2) rational steps, and one walk over the multisets of the
+same terms (`_breakdowns`) splits every c_d by class.
 
 `trace_bruteforce` certifies the power sums without any class data.  It
 evaluates the trace formula of the adjacency tensor (Morozov & Shakirov
@@ -32,9 +33,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, inf, prod
 
-from .canon import CanonicalCode, _union_code
+from .canon import _union_code
 from .errors import ConsistencyFailure, DomainError, SizeExceeded
 from .hypergraph import MultiHypergraph, _compositions, require_simple
+from .rooting import _class_weight
 from .veblen_enum import connected_infragraph_classes
 
 
@@ -166,10 +168,10 @@ def _newton(ts) -> list[Fraction]:
 
 def _order_terms(host: MultiHypergraph, d: int):
     """(d, code, term) for each connected class with d edges realized in the
-    host; the term is the class's -(k-1)^n * coeff * labeled count."""
+    host; the term is the class's -(k-1)^n * weight * labeled count."""
     sign_scale = -(Fraction(host.k - 1) ** host.n)
-    return [(d, rec.code, sign_scale * rec.assoc_coeff * rec.labeled_count)
-            for rec in connected_infragraph_classes(host, d, with_coeffs=True)]
+    return [(d, rec.code, sign_scale * _class_weight(rec.code, rec.representative) * rec.labeled_count)
+            for rec in connected_infragraph_classes(host, d)]
 
 
 def _class_terms(host: MultiHypergraph, max_d: int):
@@ -179,14 +181,14 @@ def _class_terms(host: MultiHypergraph, max_d: int):
     return [term for terms in reversed(per_order) for term in terms]
 
 
-def _breakdowns(terms, max_d: int) -> dict[int, tuple[tuple[CanonicalCode, Fraction], ...]]:
+def _breakdowns(terms, max_d: int) -> dict[int, tuple[tuple[bytes, Fraction], ...]]:
     """Per-class contributions to c_1..c_max_d, from one walk over the
     multisets of `terms` (`_class_terms`) with at most max_d edges in all:
     each is one Veblen class realized in the host, filed under its edge count
     with its components' union code and weight prod x^mu / mu!."""
     entries: dict[int, list] = {d: [] for d in range(1, max_d + 1)}
 
-    def rec(idx: int, used: int, codes: list[CanonicalCode], weight: Fraction):
+    def rec(idx: int, used: int, codes: list[bytes], weight: Fraction):
         if idx == len(terms) or used + terms[idx][0] > max_d:
             if used:
                 entries[used].append((_union_code(codes), weight))
@@ -199,12 +201,12 @@ def _breakdowns(terms, max_d: int) -> dict[int, tuple[tuple[CanonicalCode, Fract
             mu, power = mu + 1, power * x
 
     rec(0, 0, [], Fraction(1))
-    return {d: tuple(sorted(found, key=lambda pair: pair[0].blob)) for d, found in entries.items()}
+    return {d: tuple(sorted(found)) for d, found in entries.items()}
 
 
 def codegree_coefficients(
     host: MultiHypergraph, max_codegree: int, with_breakdown: bool = False
-) -> tuple[tuple[Fraction, ...], dict[int, tuple[tuple[CanonicalCode, Fraction], ...]] | None]:
+) -> tuple[tuple[Fraction, ...], dict[int, tuple[tuple[bytes, Fraction], ...]] | None]:
     """(coefficients, breakdown): the coefficients c_0..c_max_codegree of the
     host's characteristic polynomial (c_0 = 1, and c_d multiplies x^(t-d) with
     t the polynomial degree), and with `with_breakdown` each c_d's

@@ -31,6 +31,9 @@ has the table.
 
 Occurrence counts of disconnected graphs in a host factor over components,
 divided by the symmetry of repeated components, so they can be non-integral.
+
+Records come sorted by their class's canonical code (bytes) and carry no
+weights: a caller asks `rooting._class_weight(code, representative)`.
 """
 
 from __future__ import annotations
@@ -43,10 +46,9 @@ from fractions import Fraction
 from math import comb, factorial, inf
 from operator import itemgetter
 
-from .canon import VERTEX_BOUND, CanonicalCode, _connected_code, _refine, canonical_form
+from .canon import VERTEX_BOUND, _connected_code, _refine, canonical_form
 from .errors import ConsistencyFailure, DomainError, NormalizationFailure, SizeExceeded
 from .hypergraph import MultiHypergraph, component_supports, components, is_connected, require_simple
-from .rooting import _class_weight
 
 MAX_FREE_EDGES = 9
 
@@ -59,33 +61,26 @@ WORK_BUDGET = 10**9  # walk nodes or injection placements
 
 @dataclass(frozen=True)
 class IsoClassRecord:
-    """One isomorphism class: canonical code, a representative on vertices
-    1..v, and optionally its associated coefficient and (for
-    host-relative enumeration) the number of multiplicity functions on the
-    host realizing the class, or (for free enumeration) |Aut| of the class."""
+    """One isomorphism class: canonical code, a representative on vertices 1..v,
+    and the number of multiplicity functions on the host realizing the class
+    (host-relative enumeration) or its |Aut| (free enumeration)."""
 
-    code: CanonicalCode
+    code: bytes
     representative: MultiHypergraph
-    assoc_coeff: Fraction | None = None
     labeled_count: int | None = None
     aut_count: int | None = None
 
 
-def _sorted_records(by_code: dict, with_coeffs: bool, free: bool = False) -> tuple[IsoClassRecord, ...]:
+def _sorted_records(by_code: dict, free: bool = False) -> tuple[IsoClassRecord, ...]:
     # host tables hold [representative, labeled count], free ones (representative, |Aut|)
-    out = []
-    for code in sorted(by_code, key=lambda c: c.blob):
-        rep, value = by_code[code]
-        count, aut = (None, value) if free else (value, None)
-        coeff = _class_weight(code, rep) if with_coeffs else None
-        out.append(IsoClassRecord(code, rep, coeff, count, aut))
-    return tuple(out)
+    return tuple(IsoClassRecord(code, rep, aut_count=value) if free else IsoClassRecord(code, rep, value)
+                 for code, (rep, value) in sorted(by_code.items()))
 
 
 _free_memo: dict[tuple[int, int], dict] = {}
 
 
-def enumerate_connected_veblen(k: int, d: int, with_coeffs: bool = False) -> tuple[IsoClassRecord, ...]:
+def enumerate_connected_veblen(k: int, d: int) -> tuple[IsoClassRecord, ...]:
     """All connected Veblen isomorphism classes with arity k and exactly d
     edges counted with multiplicity, sorted by canonical code, each with
     its |Aut| in `aut_count`.  One canonical-augmentation tree to order d
@@ -101,7 +96,7 @@ def enumerate_connected_veblen(k: int, d: int, with_coeffs: bool = False) -> tup
     if (k, d) not in _free_memo:
         for j, by_code in enumerate(_free_classes(k, d), start=1):
             _free_memo[(k, j)] = by_code
-    return _sorted_records(_free_memo[(k, d)], with_coeffs, free=True)
+    return _sorted_records(_free_memo[(k, d)], free=True)
 
 
 def _free_classes(k: int, top: int) -> list[dict]:
@@ -270,7 +265,7 @@ def _walk_tables(host: MultiHypergraph, d: int, gens: list, budget: int = WORK_B
     deg = dict.fromkeys(last, 0)
     mu = [0] * len(edges)
     tables = [{} for _ in range(d)]
-    pending: dict[tuple[int, ...], CanonicalCode] = {}  # keyed like _orbit's tuples: edge positions, repeated
+    pending: dict[tuple[int, ...], bytes] = {}  # keyed like _orbit's tuples: edge positions, repeated
     nodes = itertools.count(1)
 
     def leaf(used: int) -> None:
@@ -409,9 +404,7 @@ def _count_tables(host: MultiHypergraph, d: int, gens: list, budget: int = WORK_
     return tables
 
 
-def connected_infragraph_classes(
-    host: MultiHypergraph, d: int, with_coeffs: bool = False
-) -> tuple[IsoClassRecord, ...]:
+def connected_infragraph_classes(host: MultiHypergraph, d: int) -> tuple[IsoClassRecord, ...]:
     """Isomorphism classes of connected Veblen graphs with d edges realized by
     multiplicity functions on the host's edge set, with labeled counts and a
     connected sub-multi-hypergraph of the host in the class, on 1..v.
@@ -424,7 +417,7 @@ def connected_infragraph_classes(
     require_simple(host)
     if d <= 0:
         return ()
-    return _sorted_records(_host_tables(host, d)[d - 1], with_coeffs)
+    return _sorted_records(_host_tables(host, d)[d - 1])
 
 
 def count_infragraph(host: MultiHypergraph, H: MultiHypergraph) -> Fraction:
@@ -437,7 +430,7 @@ def count_infragraph(host: MultiHypergraph, H: MultiHypergraph) -> Fraction:
         return Fraction(0)
     if H.edge_count == 0:
         return Fraction(1)
-    class_mult: dict[CanonicalCode, list] = {}
+    class_mult: dict[bytes, list] = {}
     for comp in components(H):
         class_mult.setdefault(canonical_form(comp), [comp, 0])[1] += 1
     tables = _host_tables(host, max(comp.edge_count for comp, _ in class_mult.values()))

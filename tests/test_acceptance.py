@@ -48,7 +48,7 @@ from hypersachs.classical import (
 )
 from hypersachs.cli import dispatch
 from hypersachs.hypergraph import MultiHypergraph
-from hypersachs.rooting import assoc_coeff, assoc_coeff_connected, euler_orientations
+from hypersachs.rooting import _class_weight, assoc_coeff, assoc_coeff_connected, euler_orientations
 from hypersachs.simplex import asymptotic_ratio, simplex_Ck, simplex_orientation
 from hypersachs.traces import _newton, codegree_coefficients, trace_bruteforce, trace_d
 from hypersachs.veblen_enum import (
@@ -306,9 +306,9 @@ def test_criterion_5a_assembly_routes_agree():
         # the assembly arithmetic, not the enumeration or the weights
         scale = -(F(host.k - 1) ** host.n)
         terms = [
-            (d, scale * rec.assoc_coeff * rec.labeled_count)
+            (d, scale * _class_weight(rec.code, rec.representative) * rec.labeled_count)
             for d in range(1, 8)
-            for rec in connected_infragraph_classes(host, d, with_coeffs=True)
+            for rec in connected_infragraph_classes(host, d)
         ]
         assert exponential_formula_coefficients(terms, 7) == row, host.edges
         # Newton's identities over walk-expansion traces use no weights,
@@ -376,9 +376,9 @@ def test_criterion_6_ordinary_graphs():
     # closed-trail counting agrees with the rooting engine on every
     # connected class with at most six edges
     for d in range(2, 7):
-        for rec in enumerate_connected_veblen(2, d, with_coeffs=True):
+        for rec in enumerate_connected_veblen(2, d):
             G = rec.representative
-            assert graph_assoc_coeff(G) == rec.assoc_coeff == assoc_coeff(G), G.edges
+            assert graph_assoc_coeff(G) == _class_weight(rec.code, G) == assoc_coeff(G), G.edges
 
     elapsed = time.monotonic() - start
     print(f"CRITERION 6: PASS ({elapsed:.1f}s, {non_cycles} non-cycle classes)")
@@ -456,8 +456,8 @@ def test_regression_triple_star_weight_certificate():
     assert codegree_coefficients(host, 9)[0][9] == c9
     assert count_infragraph(host, g) == 1
     by_coeff = {
-        rec.assoc_coeff: rec.labeled_count
-        for rec in connected_infragraph_classes(host, 9, with_coeffs=True)
+        _class_weight(rec.code, rec.representative): rec.labeled_count
+        for rec in connected_infragraph_classes(host, 9)
     }
     assert by_coeff == {F(1, 8): 3, F(9, 32): 6, F(27, 64): 1}
     # the shift a weight of 81/128 would inject, breaking the trace identity

@@ -133,6 +133,12 @@ def test_census_of_the_largest_checked_graph_computes():
     assert harary_sachs_coeffs(K8, 8) == charpoly_graph(K8)[8] == -7
 
 
+def test_census_leaves_vertices_out_without_recursing():
+    # the recursion goes only as deep as the pieces selected, so the 2997
+    # vertices a single edge leaves out stay within Python's recursion limit
+    assert harary_sachs_coeffs(path_graph(3000), 2) == -2999
+
+
 def test_cycle_listing_step_bound(monkeypatch):
     # a vertex hanging off a complete graph: the listing walks the paths from
     # it, none of which closes, and stops at its step bound
@@ -157,9 +163,9 @@ def test_trail_count_coefficients(G, expect):
 
 def test_trail_count_matches_rooting_engine():
     for d in range(2, 7):
-        for rec in enumerate_connected_veblen(2, d, with_coeffs=True):
+        for rec in enumerate_connected_veblen(2, d):
             G = rec.representative
-            assert graph_assoc_coeff(G) == rec.assoc_coeff == assoc_coeff(G)
+            assert graph_assoc_coeff(G) == rooting._class_weight(rec.code, G) == assoc_coeff(G)
 
 
 def test_trail_edge_cap():

@@ -48,6 +48,10 @@ def _cases() -> dict[str, tuple[list[str], str]]:
             argv = ["simplex-ck", "--k", "5", "--format", fmt, *extra]
             cases[f"simplex-ck-5-{fmt}{'-asymptotics' if extra else ''}"] = (argv, "")
     cases["assoc-coeff-simplex4"] = (["assoc-coeff", "--input", "-"], SIMPLEX4)
+    # class digests, line order and representatives, byte for byte
+    cases["atlas-export-k3-d5"] = (["atlas-export", "--k", "3", "--max-codegree", "5"], "")
+    cases["veblen-enumerate-k3-d5-coefficients"] = (
+        ["veblen", "enumerate", "--k", "3", "--d", "5", "--with-coefficients"], "")
     # errors print nothing on stdout and exit 1
     cases["threshold-edge-dmax0"] = (["threshold", "--input", "-", "--max-codegree", "0"], EDGE)
     cases["coeffs-doubled-edge"] = (["coeffs", "--input", "-", "--max-codegree", "3"], EDGE + "1 2 3\n")

@@ -1,5 +1,6 @@
 """Isomorphism-class enumeration, free and host-realized."""
 
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -27,7 +28,7 @@ from helpers import (
     serialize_hypergraph,
     with_multiplicities,
 )
-from hypersachs import rooting, veblen_enum
+from hypersachs import digraph, linalg, rooting, veblen_enum
 from hypersachs.canon import canon_and_aut, canonical_form
 from hypersachs.classical import charpoly_graph
 from hypersachs.cli import dispatch
@@ -91,8 +92,8 @@ def test_smallest_classes_are_the_expected_ones():
 
 def test_records_are_sorted_canonical_and_connected():
     recs = enumerate_connected_veblen(3, 6)
-    blobs = [r.code.blob for r in recs]
-    assert blobs == sorted(blobs)
+    codes = [r.code for r in recs]
+    assert all(type(c) is bytes for c in codes) and codes == sorted(codes)
     for r in recs:
         assert r.representative.edge_count == 6
         assert r.labeled_count is None
@@ -102,8 +103,8 @@ def test_records_are_sorted_canonical_and_connected():
 
 
 def test_six_edge_coefficient_multiset():
-    recs = enumerate_connected_veblen(3, 6, with_coeffs=True)
-    values = sorted(r.assoc_coeff for r in recs)
+    recs = enumerate_connected_veblen(3, 6)
+    values = sorted(rooting._class_weight(r.code, r.representative) for r in recs)
     expected = sorted(
         [
             Fraction(3, 16),  # edge with multiplicity six
@@ -311,11 +312,34 @@ def _assert_counted_tables(host, counted, want):
 
 def test_host_memo_keeps_only_the_last_host():
     veblen_enum.clear_caches()
-    first = connected_infragraph_classes(fano_plane(), 6, with_coeffs=True)
+    first = connected_infragraph_classes(fano_plane(), 6)
     connected_infragraph_classes(fano_minus_two(), 6)
     assert len(veblen_enum._infra_memo) == 1
-    assert connected_infragraph_classes(fano_plane(), 6, with_coeffs=True) == first
+    assert connected_infragraph_classes(fano_plane(), 6) == first
     assert len(veblen_enum._infra_memo) == 1
+
+
+def test_enumeration_uses_no_weight_code(monkeypatch):
+    # classes, |Aut| and labeled counts come from canon alone: every function
+    # of rooting, digraph and linalg raises while both enumerations run
+    def run():
+        veblen_enum.clear_caches()
+        rooting._coeff_memo.clear()
+        free = enumerate_connected_veblen(3, 7)
+        host = [connected_infragraph_classes(fano_plane(), d) for d in range(9, 0, -1)]
+        return free, host
+
+    want = run()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration called weight code")
+
+    for module in (rooting, digraph, linalg):
+        for name, value in vars(module).items():
+            if inspect.isfunction(value) and value.__module__ == module.__name__:
+                monkeypatch.setattr(module, name, forbidden)
+    # the records' codes, |Aut|, labeled counts and representatives
+    assert run() == want
 
 
 def _fano_orbit_counts(top):
