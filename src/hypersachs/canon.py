@@ -4,13 +4,14 @@ A connected multi-hypergraph is labeled by individualization-refinement
 (McKay & Piperno, *Practical graph isomorphism, II*, 2014).  Vertex colours
 are refined to an equitable partition: a vertex's new colour is its old one
 together with the sorted multiset of (multiplicity, member colours) of its
-edges, repeated until no cell splits.  The search tree branches on the first
-smallest non-singleton cell, individualizing each of its vertices in turn
-and refining again.  At a leaf the partition is discrete, and the leaf's code
-is the sorted edge encoding under its labels; the canonical code is the
-least leaf code.  A class is its code, plain bytes: "k<k>|n<m>" and then
-"|<labels>x<mult>" per edge in that order, ASCII-encoded; equal bytes mean
-isomorphic graphs.
+edges, repeated until no cell splits; a round keys only the vertices of
+non-singleton cells, each against its own cell.  The search tree branches on
+the first smallest non-singleton cell, individualizing each of its vertices
+in turn and refining again.  At a leaf the partition is discrete, and the
+leaf's code is the sorted edge encoding under its labels; the canonical code
+is the least leaf code.  A class is its code, plain bytes: "k<k>|n<m>" and
+then "|<labels>x<mult>" per edge in that order, ASCII-encoded; equal bytes
+mean isomorphic graphs.
 
 Two leaves with equal codes differ by an automorphism.  Automorphisms prune
 the search twice: a child of a node on the first path is skipped when its
@@ -49,17 +50,31 @@ class AutReport:
 
 
 def _refine(col: list[int], ncells: int, edges, inc) -> tuple[list[int], int]:
-    """Equitable refinement of the colouring `col` (colours 0..ncells-1).
-    Cells split in place, sub-cells ordered by their invariant keys."""
+    """Equitable refinement of `col` (colours 0..ncells-1), in place: cells split
+    in place, sub-cells ordered by their keys, and only non-singleton cells are keyed."""
+    cells: list[list[int]] = [[] for _ in range(ncells)]
+    for v, c in enumerate(col):
+        cells[c].append(v)
     while ncells < len(col):  # a discrete colouring cannot split
-        ekeys = [(mult, tuple(sorted(map(col.__getitem__, e)))) for e, mult in edges]
-        keys = [(c, tuple(sorted(map(ekeys.__getitem__, inc[v])))) for v, c in enumerate(col)]
-        distinct = sorted(set(keys))
-        if len(distinct) == ncells:
+        ekeys: dict[int, tuple] = {}  # (multiplicity, member colours) of the edges keyed so far
+        split = []
+        for cell in cells:
+            parts: dict[tuple, list[int]] = {}  # the cell's vertices by key
+            for v in cell if len(cell) > 1 else ():
+                key = []
+                for i in inc[v]:
+                    if i not in ekeys:
+                        ekeys[i] = (edges[i][1], tuple(sorted(map(col.__getitem__, edges[i][0]))))
+                    key.append(ekeys[i])
+                key.sort()
+                parts.setdefault(tuple(key), []).append(v)
+            split += [parts[key] for key in sorted(parts)] if len(parts) > 1 else [cell]
+        if len(split) == ncells:
             break
-        rank = {key: r for r, key in enumerate(distinct)}
-        col = [rank[key] for key in keys]
-        ncells = len(distinct)
+        cells, ncells = split, len(split)
+        for c, cell in enumerate(cells):
+            for v in cell:
+                col[v] = c
     return col, ncells
 
 
@@ -87,7 +102,7 @@ def _search(m: int, edges) -> tuple[tuple, int, list[tuple[int, ...]], list[int]
     def leaf(col: list[int], path: list[int]) -> int | None:
         """Compare a leaf; on a match with the first or best leaf, record the
         automorphism and return the depth of the common ancestor."""
-        code = tuple(sorted([(tuple(sorted([col[u] for u in e])), mult) for e, mult in edges]))
+        code = tuple(sorted([(tuple(sorted(map(col.__getitem__, e))), mult) for e, mult in edges]))
         if not first:
             first[:] = best[:] = [code, col, path[:]]
             return None
@@ -111,8 +126,7 @@ def _search(m: int, edges) -> tuple[tuple, int, list[tuple[int, ...]], list[int]
         nonlocal aut
         if ncells == m:
             return leaf(col, path)
-        size = Counter(col)
-        target = min((s, c) for c, s in size.items() if s > 1)[1]
+        target = min((s, c) for c, s in enumerate(map(col.count, range(ncells))) if s > 1)[1]
         depth = len(path)
         explored: list[int] = []
         for w in [v for v, c in enumerate(col) if c == target]:

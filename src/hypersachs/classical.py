@@ -45,8 +45,9 @@ def _check_census(sizes: list[Counter], d: int) -> None:
         for t in range(d - 1, 1, -1):
             sets[t] += sum(c * sets[t - s] for s, c in here.items() if s <= t)
     if checks > MAX_CENSUS_CHECKS:
+        # the bound can pass any float, so it is stated as a power of 2
         raise SizeExceeded(f"elementary subgraphs on {d} vertices: the selection's bound reaches "
-                           f"{checks:.3g} piece checks, over {MAX_CENSUS_CHECKS:.3g}")
+                           f"2^{checks.bit_length() - 1} piece checks or more, over {MAX_CENSUS_CHECKS:.3g}")
 
 
 def _cycles_of_graph(G: MultiHypergraph, d: int, sizes: list[Counter]) -> list[tuple[int, ...]]:
@@ -66,27 +67,26 @@ def _cycles_of_graph(G: MultiHypergraph, d: int, sizes: list[Counter]) -> list[t
         sizes[u][2] += 1
     cycles: list[tuple[int, ...]] = []
     steps = checked = 0
-
-    def extend(start: int, path: list[int], on_path: set[int]) -> None:
-        nonlocal steps
-        cur = path[-1]
-        for w in sorted(adj[cur]):
-            if w == start and len(path) >= 3:
+    for s in sorted(adj, reverse=True):
+        # depth first from s with an explicit stack: the path, its vertex set
+        # and, per path vertex, the neighbours it has yet to try
+        path, on_path, todo = [s], {s}, [iter(sorted(adj[s]))]
+        while todo:
+            w = next(todo[-1], None)
+            if w is None:
+                todo.pop()
+                on_path.discard(path.pop())
+            elif w == s and len(path) >= 3:
                 if path[1] < path[-1]:
                     cycles.append(tuple(path))
-                    sizes[start][len(path)] += 1
-            elif w > start and w not in on_path and len(path) < d:
+                    sizes[s][len(path)] += 1
+            elif w > s and w not in on_path and len(path) < d:
                 steps += 1
                 if steps > MAX_CYCLE_STEPS:
                     raise SizeExceeded(f"cycles on at most {d} vertices: more than {MAX_CYCLE_STEPS:.3g} path steps")
                 path.append(w)
                 on_path.add(w)
-                extend(start, path, on_path)
-                on_path.discard(w)
-                path.pop()
-
-    for s in sorted(adj, reverse=True):
-        extend(s, [s], {s})
+                todo.append(iter(sorted(adj[w])))
         if len(cycles) > 2 * checked:
             _check_census(sizes, d)
             checked = len(cycles)

@@ -16,10 +16,12 @@ assignments into digraphs.  Weights are memoized by canonical code in
 `_coeff_memo`, through `_class_weight` alone.
 
 Aut(H) permutes the assignments and keeps their multiplicities and
-arborescence counts, so for the weight the walk descends, at each edge, into
-one root count per orbit of the automorphisms fixing the edges so far and
-their counts, and the sum weighs each leaf by its orbit size.  One search on a
-trivial group sends the walk plain below it.
+arborescence counts, so the weight's walk takes one root count per orbit of a
+group fixing the edges so far and their counts, times its size; any such group
+keeps the sum exact.  One search, at the first edge with two feasible counts,
+gives its stabilizer; below it the walk keeps the generators that fix the next
+edge and the counts chosen (a subgroup of each later stabilizer), plainly once
+none is left.
 """
 
 from __future__ import annotations
@@ -34,16 +36,9 @@ from .hypergraph import MultiHypergraph, _compositions, components, is_connected
 from .linalg import bareiss_det
 
 
-def _combo_orbits(m: int, edges, chosen, feasible) -> tuple[list, bool]:
-    """Orbits [(representative, size)] of edge i = len(chosen)'s feasible root
-    counts under the automorphisms of H fixing edges 0..i (labelled by
-    position) and the counts chosen on 0..i-1 (labelled singletons), found by
-    one search, and whether that group is nontrivial."""
-    i, e = len(chosen), edges[len(chosen)][0]
-    marked = [(f, (0, mult)) for f, mult in edges[i + 1:]]
-    marked += [(f, (1, j)) for j, (f, _) in enumerate(edges[:i + 1])]
-    marked += [((v,), (2, j, c)) for j, combo in enumerate(chosen) for v, c in zip(edges[j][0], combo) if c]
-    _, aut, gens, _ = _search(m, marked)
+def _combo_orbits(e: tuple[int, ...], gens, feasible) -> list:
+    """Orbits [(representative, size)] of edge e's feasible root counts under
+    the group that `gens` (vertex maps, each fixing e setwise) generate."""
     # a generator moves the count at position t of e to position e.index(g[e[t]])
     moves = [sorted(range(len(e)), key=lambda t: e.index(g[e[t]])) for g in gens]
     orbits, seen = [], set()
@@ -54,7 +49,7 @@ def _combo_orbits(m: int, edges, chosen, feasible) -> tuple[list, bool]:
                 orbit += {tuple(c[t] for t in inv) for inv in moves} - set(orbit)
             seen.update(orbit)
             orbits.append((combo, len(orbit)))
-    return orbits, aut > 1
+    return orbits
 
 
 def _rooted_unions(H: MultiHypergraph, symmetric: bool = False):
@@ -91,7 +86,7 @@ def _rooted_unions(H: MultiHypergraph, symmetric: bool = False):
                 if w != v:
                     lap[v][w] -= sign * c
 
-    def rec(i: int, size: int, copies: int, symmetric: bool):
+    def rec(i: int, size: int, copies: int, gens):  # gens: None until searched, [] walks plainly
         if i == len(edges):
             count, rem = divmod(quota_factorial, copies)
             if rem:
@@ -99,19 +94,27 @@ def _rooted_unions(H: MultiHypergraph, symmetric: bool = False):
             yield count * size, lap
             return
         (e, m), cap = edges[i], left[i]
-        orbits = [(combo, 1) for combo in
-                  _compositions(m, len(e), [max(0, need[v] - cap[v]) for v in e], [need[v] for v in e])]
-        if symmetric and len(orbits) > 1:
-            # the groups below are subgroups, so trivial below a trivial one
-            orbits, symmetric = _combo_orbits(len(verts), edges, chosen, [c for c, _ in orbits])
+        feasible = list(_compositions(m, len(e), [max(0, need[v] - cap[v]) for v in e], [need[v] for v in e]))
+        if gens is None and len(feasible) > 1:
+            # edges 0..i labelled by position, later ones by multiplicity, counts chosen as singletons
+            marked = [(f, (0, mult)) for f, mult in edges[i + 1:]]
+            marked += [(f, (1, j)) for j, (f, _) in enumerate(edges[:i + 1])]
+            marked += [((v,), (2, j, c)) for j, combo in enumerate(chosen) for v, c in zip(edges[j][0], combo) if c]
+            _, aut, found, _ = _search(len(verts), marked)
+            gens = found if aut > 1 else []
+        orbits = _combo_orbits(e, gens, feasible) if gens and len(feasible) > 1 else [(c, 1) for c in feasible]
+        nxt = edges[i + 1][0] if i + 1 < len(edges) else ()
         for combo, n in orbits:
             root(e, combo, 1)
             chosen.append(combo)
-            yield from rec(i + 1, size * n, copies * prod(map(factorial, combo)), symmetric)
+            # the maps that keep this combo and fix the next edge (module docstring)
+            below = gens and [g for g in gens if tuple(sorted(map(g.__getitem__, nxt))) == nxt
+                              and all(combo[e.index(g[v])] == c for v, c in zip(e, combo))]
+            yield from rec(i + 1, size * n, copies * prod(map(factorial, combo)), below)
             chosen.pop()
             root(e, combo, -1)
 
-    yield from rec(0, 1, 1, symmetric)
+    yield from rec(0, 1, 1, None if symmetric else [])
 
 
 def euler_orientations(H: MultiHypergraph) -> tuple[tuple[MultiDigraph, int], ...]:

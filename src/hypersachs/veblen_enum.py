@@ -6,7 +6,11 @@ canonical augmentation (McKay, *Isomorph-free exhaustive generation*, J.
 Algorithms 26, 1998).  A node is a connected graph whose degree deficits can
 close within d edges.  Its children add one edge copy, one per orbit of
 Aut(node), and a child is kept iff its new edge lies in the Aut(child)-orbit
-of its canonical deletion, so each class appears once.
+of its canonical deletion, so each class appears once.  The multiplicity
+rule: past a largest multiplicity M >= 2, only copies of edges at M - 1 or
+more are tried (a copy of a multi-edge can always go, and the deletion
+prefers higher multiplicity), and a child whose deficits no such copies
+close mod k within d edges is dropped, as no class lies below it.
 
 Host-relative enumeration fills one table per order 1..d with the classes
 that multiplicity functions on a simple host's edges realize, their labeled
@@ -122,6 +126,10 @@ def _free_classes(k: int, top: int) -> list[dict]:
             for rest in itertools.combinations(pool, k - t - len(urgent)):
                 if k * len(closed.intersection(rest)) <= room:
                     feasible.append(tuple(sorted(urgent + rest)))
+        most = max(edges.values())  # for the multiplicity rule (module docstring)
+        feasible = [old for old in feasible if edges.get(old, 0) >= most - 1 and (old not in edges or _closable(
+            k, [(x - (v in old)) % k for v, x in enumerate(deficit)],
+            [f for f, m in edges.items() if m + (f == old) >= max(most, edges[old] + 1) - 1], left))]
         # a class needs its code, and two candidates may share an orbit
         if searched is None and (not total or len(feasible) > 1):
             searched = _connected_code(k, range(n), list(edges.items()))
@@ -177,6 +185,18 @@ def _canonical_augmentation(
     searched = _connected_code(k, range(n), edges)
     first = min((edges[i][0] for i in ties), key=lambda f: sorted(map(searched[3].__getitem__, f)))
     return e in _orbit(first, searched[2]), searched
+
+
+def _closable(k: int, deficit: list[int], copies: list[tuple[int, ...]], left: int) -> bool:
+    """Whether at most `left` copies of the edges `copies` bring every degree
+    deficit to 0 mod k; a copy lowers the deficit sum by k or less, and the
+    count of copies[0] is forced by a vertex in no later copy."""
+    if not any(deficit) or not copies or sum(deficit) > k * left:
+        return not any(deficit)
+    forced = {deficit[v] for v in copies[0] if not any(v in f for f in copies[1:])}
+    return len(forced) < 2 and any(
+        _closable(k, [(x - c * (v in copies[0])) % k for v, x in enumerate(deficit)], copies[1:], left - c)
+        for c in forced or range(k) if c <= left)
 
 
 def _orbit(s: tuple[int, ...], gens) -> set[tuple[int, ...]]:

@@ -3,7 +3,8 @@ circuits by brute force, power sums by walk enumeration, class weights over
 listed orientations and (at k=2) over closed trails, Veblen edge partitions
 and the k=2 alternating partition sum, the simplex recurrence, cycle-type sum
 and spectrum predictions, the composition scan, labeled counts by injection
-counting, the exhaustive canonical-labeling search, and the host writer."""
+counting, the exhaustive canonical-labeling search, a colour refinement
+that re-keys every vertex, and the host writer."""
 
 import json
 from dataclasses import dataclass
@@ -756,6 +757,22 @@ def free_classes_by_dedup(k, d):
 # classes it induces, not its bytes.
 
 ORACLE_VERTICES = 8
+
+
+def refine_rekeying_every_vertex(col, ncells, edges, inc):
+    """`canon._refine` as it was before it keyed only non-singleton cells:
+    every round re-keys every vertex by (colour, sorted edge keys) and ranks
+    the keys globally.  Both must give the same colouring."""
+    while ncells < len(col):
+        ekeys = [(mult, tuple(sorted(map(col.__getitem__, e)))) for e, mult in edges]
+        keys = [(c, tuple(sorted(map(ekeys.__getitem__, inc[v])))) for v, c in enumerate(col)]
+        distinct = sorted(set(keys))
+        if len(distinct) == ncells:
+            break
+        rank = {key: r for r, key in enumerate(distinct)}
+        col = [rank[key] for key in keys]
+        ncells = len(distinct)
+    return col, ncells
 
 
 def _oracle_refine_colors(verts, edge_items):

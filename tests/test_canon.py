@@ -16,9 +16,17 @@ from catalog import (
     path_graph,
     single_edge,
 )
-from helpers import ORACLE_VERTICES, disjoint_union, graph2, oracle_canon, oracle_orbits
+from helpers import (
+    ORACLE_VERTICES,
+    disjoint_union,
+    graph2,
+    oracle_canon,
+    oracle_orbits,
+    refine_rekeying_every_vertex,
+)
 from hypersachs.canon import (
     VERTEX_BOUND,
+    _refine,
     _search,
     automorphisms,
     canon_and_aut,
@@ -233,3 +241,30 @@ def test_orbit_counting_consistency(H):
         mapping = dict(zip(verts, perm))
         images.add(H.relabeled(mapping, H.n).edges)
     assert len(images) * automorphisms(H).aut_count == factorial(len(verts))
+
+
+def _random_coloured_graph(rng, marked):
+    """(colouring, cell count, edges, incidence) on 3..10 vertices: random
+    3-edges with multiplicities, or, with `marked`, edges labelled as the
+    root-count walk labels them (by position or multiplicity) plus singleton
+    marks labelled (2, edge, count)."""
+    m = rng.randint(3, 10)
+    edges = [(tuple(sorted(rng.sample(range(m), 3))), rng.randint(1, 3)) for _ in range(rng.randint(1, 8))]
+    if marked:
+        edges = [(e, (1, j) if rng.random() < 0.5 else (0, mult)) for j, (e, mult) in enumerate(edges)]
+        edges += [((v,), (2, rng.randrange(3), rng.randint(1, 2))) for v in rng.sample(range(m), rng.randint(0, 3))]
+    inc = [[i for i, (e, _) in enumerate(edges) if v in e] for v in range(m)]
+    raw = [rng.randrange(rng.randint(1, m)) for _ in range(m)]
+    rank = {c: r for r, c in enumerate(sorted(set(raw)))}
+    return [rank[c] for c in raw], len(rank), edges, inc
+
+
+@pytest.mark.parametrize("marked", [False, True])
+def test_refine_keys_only_cells_that_can_split(marked):
+    # keying only non-singleton cells, each against its own cell, gives the
+    # colouring that re-keying every vertex gives, so codes, |Aut| and
+    # labelings stay as they were
+    rng = random.Random(20261022)
+    for _ in range(400):
+        col, ncells, edges, inc = _random_coloured_graph(rng, marked)
+        assert _refine(col[:], ncells, edges, inc) == refine_rekeying_every_vertex(col, ncells, edges, inc)

@@ -139,6 +139,15 @@ def test_census_leaves_vertices_out_without_recursing():
     assert harary_sachs_coeffs(path_graph(3000), 2) == -2999
 
 
+@pytest.mark.parametrize("n,d", [(2200, 2200), (2000, 490)])
+def test_census_on_long_paths_raises_package_errors(n, d):
+    # the cycle listing keeps its path on an explicit stack, so a path of 2200
+    # vertices reaches the step bound instead of Python's recursion limit, and
+    # a selection bound past any float is still stated
+    with pytest.raises(SizeExceeded):
+        harary_sachs_coeffs(path_graph(n), d)
+
+
 def test_cycle_listing_step_bound(monkeypatch):
     # a vertex hanging off a complete graph: the listing walks the paths from
     # it, none of which closes, and stops at its step bound

@@ -52,6 +52,11 @@ def _cases() -> dict[str, tuple[list[str], str]]:
     cases["atlas-export-k3-d5"] = (["atlas-export", "--k", "3", "--max-codegree", "5"], "")
     cases["veblen-enumerate-k3-d5-coefficients"] = (
         ["veblen", "enumerate", "--k", "3", "--d", "5", "--with-coefficients"], "")
+    # the two class-atlas jobs of the benchmark and a k=2 enumeration with weights
+    cases["atlas-export-k3-d7"] = (["atlas-export", "--k", "3", "--max-codegree", "7"], "")
+    cases["atlas-export-k4-d6"] = (["atlas-export", "--k", "4", "--max-codegree", "6"], "")
+    cases["veblen-enumerate-k2-d8-coefficients"] = (
+        ["veblen", "enumerate", "--k", "2", "--d", "8", "--with-coefficients"], "")
     # errors print nothing on stdout and exit 1
     cases["threshold-edge-dmax0"] = (["threshold", "--input", "-", "--max-codegree", "0"], EDGE)
     cases["coeffs-doubled-edge"] = (["coeffs", "--input", "-", "--max-codegree", "3"], EDGE + "1 2 3\n")

@@ -6,6 +6,8 @@ oracle in helpers.py), so they serve as the anchor set for everything
 downstream.
 """
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -20,6 +22,7 @@ from catalog import (
     single_edge,
 )
 from helpers import disjoint_union, graph2, orientation_weight
+from hypersachs.cli import dispatch
 from hypersachs.digraph import is_eulerian
 from hypersachs import rooting
 from hypersachs.errors import ConsistencyFailure, NormalizationFailure, NotConnected, NotVeblen
@@ -204,8 +207,8 @@ def test_zero_arborescence_count_raises(monkeypatch):
 
 def scripted_splits(splits):
     """A stand-in for `_compositions` that hands out one split per call: the
-    walk asks once per edge along a single path, and skips `_combo_orbits`
-    for a single split."""
+    walk asks once per edge along a single path, and neither searches nor
+    forms orbits for a single split."""
     calls = iter(splits)
     return lambda total, parts, lo=None, hi=None: iter([next(calls)])
 
@@ -264,3 +267,28 @@ def test_orbit_sizes_sum_to_assignment_count(H, plain):
         assert len(leaves) < len(assignments)
     else:  # the plain walk on the 7- and 8-simplex takes about 1 and 9 s
         assert len(leaves) < plain
+
+
+def test_class_atlas_weighs_each_class_with_one_search(monkeypatch):
+    # the walk searches once, at its first edge with two feasible root
+    # counts, and below it keeps the generators that fix the next edge and the
+    # counts chosen; the two benchmark atlases (41 + 6 classes) take as many
+    # determinants as a search at every branching walk node did
+    searches, dets, per_class = [], [], []
+    search, det, weight = rooting._search, rooting.bareiss_det, rooting.assoc_coeff_connected
+
+    def weighed(H):
+        before = len(searches)
+        value = weight(H)
+        per_class.append(len(searches) - before)
+        return value
+
+    monkeypatch.setattr(rooting, "_search", lambda *a: searches.append(1) or search(*a))
+    monkeypatch.setattr(rooting, "bareiss_det", lambda matrix: dets.append(1) or det(matrix))
+    monkeypatch.setattr(rooting, "assoc_coeff_connected", weighed)
+    rooting.clear_caches()
+    with redirect_stdout(io.StringIO()):
+        for k, d in (("3", "7"), ("4", "6")):
+            assert dispatch(["atlas-export", "--k", k, "--max-codegree", d]) == 0
+    assert len(per_class) == 47 and max(per_class) == 1
+    assert len(dets) == 548

@@ -152,6 +152,26 @@ def test_free_tree_matches_dedup_oracle(k, top, monkeypatch):
         assert got == free_classes_by_dedup(k, d), (k, d)
 
 
+def test_free_tree_work_at_3_7(monkeypatch):
+    # once a node's largest multiplicity M is 2 or more, only copies of edges
+    # at multiplicity M - 1 or more are tried, and a doubled child that such
+    # copies cannot close is never tested: 230 nodes accepted and 204
+    # canonical searches, where testing every candidate accepted 342 and
+    # searched 281 (the classes are pinned by the dedup oracle above)
+    accepted, searches = [], []
+    augment, search = veblen_enum._canonical_augmentation, veblen_enum._connected_code
+
+    def counted(*args):
+        result = augment(*args)
+        accepted.append(result[0])
+        return result
+
+    monkeypatch.setattr(veblen_enum, "_canonical_augmentation", counted)
+    monkeypatch.setattr(veblen_enum, "_connected_code", lambda *a: searches.append(1) or search(*a))
+    veblen_enum._free_classes(3, 7)
+    assert (sum(accepted), len(searches)) == (230, 204)
+
+
 @pytest.mark.parametrize("k,top", [(2, 8), (3, 7), (4, 6)])
 def test_free_representatives_have_smaller_neighbours(k, top):
     # the anchor property the counting route relies on: every vertex p > 1
